@@ -3,16 +3,20 @@
 Corpus files are JSON Lines ({"id": ..., "text": ...}) or two-column
 tab-separated records; judgment files are JSON Lines with question_id,
 question, qtype, positives, negatives. All types are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads. Every save_* function of
+the package writes through atomic_write.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CorpusFormatError, JudgmentFormatError
 
@@ -187,8 +191,27 @@ def _parse_corpus_line(line: str) -> Passage:
     return Passage(id=columns[0], text=columns[1])
 
 
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open a fresh temp file beside path and move it over path with
+    os.replace only once the block completes, so path holds either its
+    previous contents or the complete new ones. mode is "w" (UTF-8 text)
+    or "wb"."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        # "x" (exclusive create) never reuses a file another writer holds
+        encoding = None if "b" in mode else "utf-8"
+        with open(tmp, mode.replace("w", "x"), encoding=encoding) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for p in corpus:
             f.write(json.dumps({"id": p.id, "text": p.text}, ensure_ascii=False))
             f.write("\n")
@@ -250,7 +273,7 @@ def judgment_to_record(judgment: Judgment) -> dict:
 
 
 def save_judgments(judgments: Sequence[Judgment], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for judgment in judgments:
             f.write(json.dumps(judgment_to_record(judgment), ensure_ascii=False))
             f.write("\n")

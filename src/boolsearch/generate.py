@@ -23,7 +23,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .chat import ChatClient
-from .data import Corpus, DatasetStats, Judgment, Passage, QuestionType, compute_stats
+from .data import (
+    Corpus,
+    DatasetStats,
+    Judgment,
+    Passage,
+    QuestionType,
+    atomic_write,
+    compute_stats,
+)
 from .embed import EmbedderSpec, embed_texts, tokenize
 from .errors import ChatError, GenerationError
 from .query import And, Atom, Not, Or, render
@@ -828,7 +836,7 @@ def chat_complete(spec: GeneratorSpec, system: str, user: str) -> str:
 def save_questions(
     questions: Sequence[GeneratedQuestion], path: str | Path
 ) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for q in questions:
             record = {
                 "question_id": q.question_id,
@@ -882,7 +890,8 @@ def save_clusters(clusters: Sequence[Cluster], path: str | Path) -> None:
         {"cluster_id": c.cluster_id, "passage_ids": list(c.passage_ids)}
         for c in clusters
     ]
-    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    with atomic_write(path) as f:
+        f.write(json.dumps(payload, indent=2))
 
 
 def load_clusters(path: str | Path) -> list[Cluster]:

@@ -1,8 +1,15 @@
 """Exact top-k dense retrieval over an embedded corpus, with persistence.
 
-Scoring is deliberately brute force: every query is compared against every
-row, so retrieval quality depends only on the embedding and the similarity
-function. Ties are always broken by ascending doc id for total determinism.
+Scoring is exact: every query is compared against every row, so retrieval
+quality depends only on the embedding and the similarity function. Ties are
+always broken by ascending doc id for total determinism.
+
+top_k runs in two stages. A float32 BLAS matrix-vector product screens
+every row; a rigorous bound on that screen's rounding error (Higham,
+Accuracy and Stability of Numerical Algorithms, section 3.1) keeps every
+row that could still belong to the top k. Only those survivors are scored
+again with the float64 per-row reduction that defines a score, so results
+are bit-identical to scoring and fully sorting every row.
 
 Index file layout (little-endian): magic "BDIX", u32 version, u8 similarity
 (0=dot, 1=cosine), u32 dim, u64 row count, u32-length-prefixed embedder-spec
@@ -16,13 +23,13 @@ import json
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .data import Corpus
+from .data import Corpus, atomic_write
 from .embed import EmbedderSpec, embed_texts, normalize_rows
 from .errors import BoolSearchError, EmbeddingError, IndexFormatError
 
@@ -32,7 +39,10 @@ MAGIC = b"BDIX"
 FORMAT_VERSION = 1
 SIMILARITIES = ("dot", "cosine")
 
-_BUILD_CHUNK = 1024
+_CHUNK_ROWS = 1024  # rows per embedding batch and per float64 norm block
+
+_U32 = 2.0**-24  # unit roundoff of float32
+_U64 = 2.0**-53  # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -109,14 +119,41 @@ class Index:
     spec: EmbedderSpec
     fingerprint: str
     load_warnings: tuple[str, ...] = field(default=(), compare=False)
+    # derived once here, never lazily: one Index is shared across threads
+    _id_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _row_norm_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.similarity not in SIMILARITIES:
             raise BoolSearchError(f"unknown similarity {self.similarity!r}")
         if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.doc_ids):
             raise BoolSearchError("index matrix row count must match doc id count")
+        if not self.doc_ids:
+            raise BoolSearchError("an index must hold at least one row")
+        if self.matrix.dtype != np.float32:
+            raise BoolSearchError(f"index matrix must be float32, got {self.matrix.dtype}")
+        if self.matrix.shape[1] != self.spec.dim:
+            raise BoolSearchError(
+                f"index matrix dim {self.matrix.shape[1]} does not match the "
+                f"embedder spec dim {self.spec.dim}"
+            )
+        if self.fingerprint != self.spec.fingerprint():
+            raise BoolSearchError(
+                f"index fingerprint {self.fingerprint!r} does not match its "
+                f"embedder spec ({self.spec.fingerprint()})"
+            )
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise BoolSearchError("index doc ids must be distinct")
+        # float64 squared row norms, a chunk at a time; a float32 square
+        # cannot overflow float64, so a non-finite sum means a non-finite entry
+        sq_norms = np.empty(len(self.doc_ids))
+        for start in range(0, len(sq_norms), _CHUNK_ROWS):
+            block = self.matrix[start : start + _CHUNK_ROWS].astype(np.float64)
+            sq_norms[start : start + len(block)] = np.einsum("ij,ij->i", block, block)
+        if not np.isfinite(sq_norms).all():
+            raise BoolSearchError("index matrix holds non-finite values")
+        object.__setattr__(self, "_id_array", np.asarray(self.doc_ids))
+        object.__setattr__(self, "_row_norm_bound", math.sqrt(float(sq_norms.max())))
 
     @property
     def dim(self) -> int:
@@ -148,12 +185,12 @@ def build_index(
     ids = corpus.ids
     texts = corpus.texts
     rows = []
-    for start in range(0, len(texts), _BUILD_CHUNK):
-        chunk = list(texts[start : start + _BUILD_CHUNK])
+    for start in range(0, len(texts), _CHUNK_ROWS):
+        chunk = list(texts[start : start + _CHUNK_ROWS])
         try:
             rows.extend(embed_texts(spec, chunk))
         except EmbeddingError as exc:
-            last = min(start + _BUILD_CHUNK, len(texts)) - 1
+            last = min(start + _CHUNK_ROWS, len(texts)) - 1
             raise EmbeddingError(
                 f"embedding failed for passages {ids[start]!r}..{ids[last]!r}: {exc}"
             ) from exc
@@ -182,11 +219,25 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
     if k < 1:
         raise BoolSearchError(f"k must be >= 1, got {k}")
     vec = embed_query(index, query)
+    matrix = index.matrix
+    n = len(matrix)
+    # screen: one float32 GEMV, within eps of every row's float64 score
+    eps = _screen_error(index.dim, index._row_norm_bound, float(np.linalg.norm(vec)))
+    with np.errstate(over="ignore", invalid="ignore"):  # eps is inf then
+        screen = matrix @ vec.astype(np.float32)
+    kth = min(k, n)
+    t = float(np.partition(screen, n - kth)[n - kth])
+    # each of the kth rows screened >= t scores >= t - eps, so every row of
+    # the true top k scores >= t - eps and screens >= t - 2 eps; the test is
+    # inclusive, so rows tied at the boundary all survive
+    threshold = _round_down_f32(t - 2.0 * eps)
+    # "not below" also keeps NaN screens, so an unusable screen keeps all rows
+    cand = np.flatnonzero(~(screen < threshold))
     # elementwise multiply + pairwise sum, not BLAS matmul: the reduction
     # order is then identical to a per-row np.sum, keeping scores exactly
     # reproducible regardless of how many rows are scored at once
-    scores = (index.matrix.astype(np.float64) * vec).sum(axis=1)
-    ids = np.asarray(index.doc_ids)
+    scores = (matrix[cand].astype(np.float64) * vec).sum(axis=1)
+    ids = index._id_array[cand]
     # lexsort: last key is primary, so descending score then ascending id
     order = np.lexsort((ids, -scores))[:k]
     return RankedList(
@@ -194,18 +245,35 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
     )
 
 
+def _screen_error(dim: int, row_norm_bound: float, vec_norm: float) -> float:
+    """Bound on |float32 screen - float64 score| for any row, any summation
+    order, FMA or not (Higham section 3.1, gamma_n = n u / (1 - n u)).
+
+    Rounding the query to float32 costs u32 |m||v|, the float32 dot product
+    gamma_d(32) |m|(1+u32)|v|, the float64 reference gamma_d(64) |m||v|, and
+    sum |m_i v_i| <= R |v|. The 2^-20 slack covers the float64 rounding of
+    R, |v| and this expression; the last term covers gradual underflow.
+    Returns inf where the screen could overflow float32, so all rows survive.
+    """
+    if dim * _U32 >= 0.5 or max(row_norm_bound, 1.0) * vec_norm >= 2.0**120:
+        return math.inf
+    g32 = dim * _U32 / (1.0 - dim * _U32)
+    g64 = dim * _U64 / (1.0 - dim * _U64)
+    coef = (_U32 + g32 * (1.0 + _U32) + g64) * (1.0 + 2.0**-20)
+    return coef * row_norm_bound * vec_norm + dim * 2.0**-149 * (1.0 + row_norm_bound)
+
+
+def _round_down_f32(x: float) -> np.float32:
+    """Largest float32 <= x, so a float32 comparison loses no margin."""
+    down = np.float32(x)
+    if float(down) > x:
+        down = np.nextafter(down, np.float32(-np.inf))
+    return down
+
+
 def save_index(index: Index, path: str | Path) -> None:
-    spec_json = json.dumps(
-        {
-            "kind": index.spec.kind,
-            "dim": index.spec.dim,
-            "normalize": index.spec.normalize,
-            "seed": index.spec.seed,
-            "endpoint": index.spec.endpoint,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    with open(path, "wb") as f:
+    spec_json = json.dumps(asdict(index.spec), sort_keys=True).encode("utf-8")
+    with atomic_write(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<IBIQ", FORMAT_VERSION, SIMILARITIES.index(index.similarity),
                             index.dim, len(index.doc_ids)))
@@ -221,6 +289,11 @@ def save_index(index: Index, path: str | Path) -> None:
 
 def load_index(path: str | Path, expected_spec: EmbedderSpec | None = None) -> Index:
     """Read an index file back; bit-for-bit inverse of save_index.
+
+    Fails closed with IndexFormatError on a bad header, a truncated file, an
+    embedder spec that is not exactly EmbedderSpec's fields or disagrees
+    with the stored fingerprint or the header's dim, duplicate doc ids, or
+    a non-finite matrix entry.
 
     A fingerprint differing from expected_spec is not an error (the file
     is self-describing) but is surfaced in Index.load_warnings.
@@ -252,13 +325,14 @@ def load_index(path: str | Path, expected_spec: EmbedderSpec | None = None) -> I
             doc_ids.append(data[offset : offset + id_len].decode("utf-8"))
             offset += id_len
         expected_bytes = count * dim * 4
-        blob = data[offset : offset + expected_bytes]
-        if len(blob) != expected_bytes:
-            raise IndexFormatError(f"{path}: truncated matrix payload")
-        matrix = np.frombuffer(blob, dtype="<f4").reshape(count, dim).copy()
+        if len(data) - offset != expected_bytes:
+            raise IndexFormatError(
+                f"{path}: matrix payload holds {len(data) - offset} bytes, "
+                f"expected {expected_bytes} (truncated or trailing data)"
+            )
+        matrix = np.frombuffer(data, dtype="<f4", offset=offset).reshape(count, dim).copy()
     except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IndexFormatError(f"{path}: corrupt index file: {exc}") from None
-    spec = EmbedderSpec(**spec_raw)
     warnings: tuple[str, ...] = ()
     if expected_spec is not None and expected_spec.fingerprint() != fingerprint:
         message = (
@@ -268,11 +342,31 @@ def load_index(path: str | Path, expected_spec: EmbedderSpec | None = None) -> I
         )
         logger.warning(message)
         warnings = (message,)
-    return Index(
-        doc_ids=tuple(doc_ids),
-        matrix=matrix,
-        similarity=SIMILARITIES[sim_code],
-        spec=spec,
-        fingerprint=fingerprint,
-        load_warnings=warnings,
-    )
+    try:
+        return Index(
+            doc_ids=tuple(doc_ids),
+            matrix=matrix,
+            similarity=SIMILARITIES[sim_code],
+            spec=_spec_from_json(spec_raw),
+            fingerprint=fingerprint,
+            load_warnings=warnings,
+        )
+    # covers the spec's own checks and Index's: dim against the header's,
+    # the stored fingerprint, distinct ids, finite float32 entries
+    except BoolSearchError as exc:
+        raise IndexFormatError(f"{path}: {exc}") from None
+
+
+def _spec_from_json(raw) -> EmbedderSpec:
+    """Rebuild the stored embedder spec: exactly its fields, each of the
+    type of its default (so a bool is never taken for an int)."""
+    types = {f.name: type(f.default) for f in fields(EmbedderSpec)}
+    if not isinstance(raw, dict) or set(raw) != set(types):
+        keys = sorted(raw) if isinstance(raw, dict) else type(raw).__name__
+        raise IndexFormatError(
+            f"embedder spec must hold exactly the fields {sorted(types)}, got {keys}"
+        )
+    wrong = sorted(name for name, kind in types.items() if type(raw[name]) is not kind)
+    if wrong:
+        raise IndexFormatError(f"embedder spec fields {wrong} have the wrong type")
+    return EmbedderSpec(**raw)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import AbstractSet, Mapping, Sequence
 
-from .data import Judgment, QuestionType
+from .data import Judgment, QuestionType, atomic_write
 from .errors import BoolSearchError, RunFormatError
 from .index import RankedList, ScoredDoc
 
@@ -204,7 +204,7 @@ def report_from_json(text: str) -> EvalReport:
 
 
 def save_run(run: RunResult, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for question_id in run:
             record = {
                 "question_id": question_id,

@@ -49,6 +49,23 @@ class TestDispatch:
         assert str(missing) in err
 
 
+    def test_corrupt_index_is_runtime_error(self, capsys, tmp_path, corpus_file):
+        index_path = tmp_path / "corpus.idx"
+        run_cli(capsys, "index", "build", "--corpus", str(corpus_file),
+                "--out", str(index_path), "--dim", "64")
+        # a valid JSON edit the stored fingerprint no longer matches
+        blob = index_path.read_bytes()
+        assert blob.count(b'"seed": 0') == 1
+        index_path.write_bytes(blob.replace(b'"seed": 0', b'"seed": 7'))
+        code, out, err = run_cli(
+            capsys, "search", "--index", str(index_path), "--raw", "core00a"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "fingerprint" in err
+
+
 class TestIndexAndSearch:
     def test_build_search_round_trip(self, capsys, tmp_path, corpus_file):
         index_path = tmp_path / "corpus.idx"

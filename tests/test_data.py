@@ -7,20 +7,80 @@ from boolsearch.data import (
     Judgment,
     Passage,
     QuestionType,
+    atomic_write,
     compute_stats,
     load_corpus,
     load_judgments,
     question_category,
     render_stats,
+    save_corpus,
     save_judgments,
 )
 from boolsearch.errors import CorpusFormatError, JudgmentFormatError
+from boolsearch.generate import Cluster, GeneratedQuestion, save_clusters, save_questions
+from boolsearch.index import RankedList, ScoredDoc
+from boolsearch.metrics import save_run
 
 from _planted import marco_replica_judgments
 
 
 def write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+BAD = "bad\ud800"  # a lone surrogate: no UTF-8 encoding, so writing it fails
+
+
+def _question(qid, text):
+    return GeneratedQuestion(qid, QuestionType.AND, text, 0, ("p1",),
+                             frozenset({"p1"}), frozenset())
+
+
+class TestAtomicWrite:
+    def test_exception_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("previous", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as f:
+                f.write("partial")
+                raise RuntimeError("interrupted")
+        assert path.read_text(encoding="utf-8") == "previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_completed_write_replaces_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"previous")
+        with atomic_write(path, "wb") as f:
+            f.write(b"new")
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    @pytest.mark.parametrize(
+        "save, good, bad",
+        [
+            (save_corpus, Corpus([Passage("p1", "a")]),
+             Corpus([Passage("p1", "a"), Passage("p2", BAD)])),
+            (save_judgments,
+             [Judgment("q1", "a?", QuestionType.AND, frozenset({"p1"}), frozenset())],
+             [Judgment("q1", "a?", QuestionType.AND, frozenset({"p1"}), frozenset()),
+              Judgment("q2", BAD, QuestionType.AND, frozenset({"p1"}), frozenset())]),
+            (save_questions, [_question("q1", "a?")],
+             [_question("q1", "a?"), _question("q2", BAD)]),
+            (save_clusters, [Cluster(0, ("p1",))], [Cluster(0, (object(),))]),
+            (save_run, {"q1": RankedList([ScoredDoc("p1", 1.0)])},
+             {"q1": RankedList([ScoredDoc("p1", 1.0)]),
+              "q2": RankedList([ScoredDoc(BAD, 1.0)])}),
+        ],
+        ids=["corpus", "judgments", "questions", "clusters", "run"],
+    )
+    def test_failed_save_keeps_previous_file(self, tmp_path, save, good, bad):
+        path = tmp_path / "out"
+        save(good, path)
+        before = path.read_bytes()
+        with pytest.raises((UnicodeEncodeError, TypeError)):
+            save(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 class TestLoadCorpus:

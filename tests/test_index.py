@@ -1,13 +1,19 @@
+import json
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
 from boolsearch.data import Corpus, Passage
-from boolsearch.embed import EmbedderSpec, hashed_bow_embed
+from boolsearch.embed import EmbedderSpec, hashed_bow_embed, normalize_rows
 from boolsearch.errors import BoolSearchError, IndexFormatError
 from boolsearch.index import (
+    Index,
     RankedList,
     ScoredDoc,
     build_index,
+    embed_query,
     load_index,
     save_index,
     top_k,
@@ -16,6 +22,19 @@ from boolsearch.index import (
 from _planted import oracle_top_k, random_corpus, random_query
 
 SPEC = EmbedderSpec(kind="hashed-bow", dim=64, normalize=False, seed=9)
+SPEC_JSON_AT = 4 + struct.calcsize("<IBIQ")  # u32 length, then the JSON
+
+
+def rewrite_spec_json(path, edit):
+    """Replace the embedder-spec JSON of a saved index with edit(spec_dict)."""
+    blob = path.read_bytes()
+    (length,) = struct.unpack_from("<I", blob, SPEC_JSON_AT)
+    start = SPEC_JSON_AT + 4
+    spec = json.loads(blob[start : start + length])
+    new = json.dumps(edit(spec)).encode("utf-8")
+    path.write_bytes(
+        blob[:SPEC_JSON_AT] + struct.pack("<I", len(new)) + new + blob[start + length :]
+    )
 
 
 def small_corpus():
@@ -49,6 +68,18 @@ class TestRankedList:
 
 
 class TestBuildIndex:
+    def test_non_float32_matrix_rejected(self):
+        index = build_index(small_corpus(), SPEC, "dot")
+        with pytest.raises(BoolSearchError, match="float32"):
+            Index(index.doc_ids, index.matrix.astype(np.float64), "dot", SPEC,
+                  SPEC.fingerprint())
+
+    def test_non_finite_matrix_rejected(self):
+        matrix = build_index(small_corpus(), SPEC, "dot").matrix.copy()
+        matrix[1, 5] = np.inf
+        with pytest.raises(BoolSearchError, match="non-finite"):
+            Index(("p1", "p2", "p3"), matrix, "dot", SPEC, SPEC.fingerprint())
+
     def test_row_per_passage(self):
         index = build_index(small_corpus(), EmbedderSpec(dim=256), "dot")
         assert index.matrix.shape == (3, 256)
@@ -113,6 +144,78 @@ class TestTopK:
                 k = int(rng.integers(1, 15))
                 got = [(d.doc_id, d.score) for d in top_k(index, query, k)]
                 assert got == oracle_top_k(index, query, k)
+            # a query with no tokens (zero vector) and k beyond the corpus:
+            # every row survives the screen and the order is by id alone
+            n = len(corpus)
+            for query, k in (("", n), ("?!", n + 7), (random_query(rng), n + 1)):
+                got = [(d.doc_id, d.score) for d in top_k(index, query, k)]
+                assert got == oracle_top_k(index, query, k)
+
+    def test_matches_oracle_on_100k_tie_heavy_rows(self):
+        # rows are sums of 2-8 of 40 word vectors: many exact duplicates,
+        # so large tie groups straddle the k-th score
+        spec = EmbedderSpec(kind="hashed-bow", dim=256, normalize=False, seed=5)
+        rng = np.random.default_rng(8)
+        words = np.stack([hashed_bow_embed(f"w{v}", 256, seed=5) for v in range(40)])
+        lengths = rng.integers(2, 9, size=100_000)
+        counts = np.zeros((len(lengths), 40), dtype=np.float32)
+        for j in range(8):
+            rows = np.flatnonzero(lengths > j)
+            np.add.at(counts, (rows, rng.integers(0, 40, size=len(rows))), 1.0)
+        matrix = counts @ words.astype(np.float32)  # small integers: exact
+        for similarity in ("dot", "cosine"):
+            if similarity == "cosine":
+                matrix = normalize_rows(matrix)
+            index = Index(
+                doc_ids=tuple(f"d{i:06d}" for i in rng.permutation(len(matrix))),
+                matrix=matrix,
+                similarity=similarity,
+                spec=spec,
+                fingerprint=spec.fingerprint(),
+            )
+            for query, k in (("w1 w2", 20), ("w7", 50)):
+                got = [(d.doc_id, d.score) for d in top_k(index, query, k)]
+                assert got == oracle_top_k(index, query, k)
+
+    def test_matches_oracle_on_near_ties_below_float32_resolution(self):
+        # large-norm unnormalized rows that differ from one base row by a
+        # few float32 ulps per entry: their float64 scores differ far below
+        # the float32 resolution of a score, so the screen's order among
+        # them is rounding noise and only the error margin keeps the true
+        # top k among the survivors
+        rng = np.random.default_rng(31)
+        dim = SPEC.dim
+        base = rng.choice([-1.0, 1.0], size=dim) * rng.uniform(1e3, 4e3, size=dim)
+        base = base.astype(np.float32)
+        steps = rng.integers(-2, 3, size=(3000, dim))
+        matrix = base + steps * np.spacing(np.abs(base))
+        matrix = matrix.astype(np.float32)
+        query = " ".join(f"t{i}" for i in range(60))
+        ids = tuple(f"r{i:05d}" for i in range(len(matrix)))
+        index = Index(ids, matrix, "dot", SPEC, SPEC.fingerprint())
+        vec = embed_query(index, query)
+        scores = matrix.astype(np.float64) @ vec
+        # over a hundred distinct float64 scores round to under a dozen float32s
+        assert len(np.unique(scores)) > 10 * len(np.unique(scores.astype(np.float32)))
+        for k in (1, 3, 10):
+            got = [(d.doc_id, d.score) for d in top_k(index, query, k)]
+            assert got == oracle_top_k(index, query, k)
+
+    def test_rows_beyond_float32_screen_range_match_oracle(self):
+        # scores near the float32 maximum overflow the screen: the bound is
+        # then infinite, every row is rescored, and no warning escapes
+        rng = np.random.default_rng(2)
+        matrix = rng.choice([-1.0, 1.0], size=(500, SPEC.dim)) * rng.uniform(
+            1e36, 3e37, size=(500, SPEC.dim))
+        matrix[:50] = np.abs(matrix[:50])
+        ids = tuple(f"d{i:03d}" for i in range(len(matrix)))
+        index = Index(ids, matrix.astype(np.float32), "dot", SPEC, SPEC.fingerprint())
+        query = " ".join(f"t{i}" for i in range(40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (1, 5, 30):
+                got = [(d.doc_id, d.score) for d in top_k(index, query, k)]
+                assert got == oracle_top_k(index, query, k)
 
     def test_dot_similarity_symmetric(self):
         a = hashed_bow_embed("alpha beta", 64, seed=9)
@@ -165,6 +268,14 @@ class TestPersistence:
         with pytest.raises(IndexFormatError):
             load_index(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        index = build_index(small_corpus(), SPEC, "dot")
+        path = tmp_path / "x.idx"
+        save_index(index, path)
+        path.write_bytes(path.read_bytes() + b"\0" * 4)
+        with pytest.raises(IndexFormatError, match="trailing"):
+            load_index(path)
+
     def test_fingerprint_mismatch_warns_in_metadata(self, tmp_path):
         index = build_index(small_corpus(), SPEC, "dot")
         path = tmp_path / "x.idx"
@@ -174,3 +285,59 @@ class TestPersistence:
         assert loaded.load_warnings and "fingerprint" in loaded.load_warnings[0]
         matching = load_index(path, expected_spec=SPEC)
         assert matching.load_warnings == ()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda spec: {("sead" if k == "seed" else k): v for k, v in spec.items()},
+            lambda spec: {**spec, "extra": 1},
+            lambda spec: {k: v for k, v in spec.items() if k != "endpoint"},
+            lambda spec: {**spec, "dim": "64"},
+            lambda spec: {**spec, "normalize": 0},
+            lambda spec: {**spec, "kind": "word2vec"},
+            lambda spec: {**spec, "dim": 4},
+            lambda spec: [spec],
+        ],
+        ids=["renamed", "extra", "missing", "dim-str", "normalize-int", "kind", "dim-4",
+             "list"],
+    )
+    def test_spec_json_not_the_spec_fields_rejected(self, tmp_path, edit):
+        path = tmp_path / "x.idx"
+        save_index(build_index(small_corpus(), SPEC, "dot"), path)
+        rewrite_spec_json(path, edit)
+        with pytest.raises(IndexFormatError, match="embedder"):
+            load_index(path)
+
+    def test_spec_disagreeing_with_stored_fingerprint_rejected(self, tmp_path):
+        path = tmp_path / "x.idx"
+        save_index(build_index(small_corpus(), SPEC, "dot"), path)
+        rewrite_spec_json(path, lambda spec: {**spec, "seed": 7})
+        with pytest.raises(IndexFormatError, match="fingerprint"):
+            load_index(path)
+
+    def test_spec_dim_disagreeing_with_header_rejected(self, tmp_path):
+        path = tmp_path / "x.idx"
+        save_index(build_index(small_corpus(), SPEC, "dot"), path)
+        rewrite_spec_json(path, lambda spec: {**spec, "dim": 32})
+        with pytest.raises(IndexFormatError,
+                           match="dim 64 does not match the embedder spec dim 32"):
+            load_index(path)
+
+    def test_non_finite_payload_rejected(self, tmp_path):
+        path = tmp_path / "x.idx"
+        save_index(build_index(small_corpus(), SPEC, "dot"), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-4] + struct.pack("<f", float("nan")))
+        with pytest.raises(IndexFormatError, match="non-finite"):
+            load_index(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "x.idx"
+        save_index(build_index(small_corpus(), SPEC, "dot"), path)
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded: the save fails mid-file
+        broken = Corpus([Passage("ok", "alpha"), Passage("bad\ud800", "beta")])
+        with pytest.raises(UnicodeEncodeError):
+            save_index(build_index(broken, SPEC, "dot"), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.idx"]
