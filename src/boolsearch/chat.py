@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from pathlib import Path
 
@@ -35,7 +36,9 @@ class ChatClient:
 
     mode "live" only talks to the network, "record" talks to the network
     and appends (request_hash, response) lines to the cassette, "replay"
-    only reads the cassette and raises on unknown requests.
+    only reads the cassette and raises on unknown requests. One client may
+    be shared across threads: one lock guards the cassette in memory and on
+    disk, and each record is appended with a single write.
     """
 
     def __init__(
@@ -62,6 +65,7 @@ class ChatClient:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._cassette: dict[str, str] | None = None
+        self._cassette_lock = threading.Lock()
 
     def complete(self, system: str, user: str) -> str:
         """Return the completion for one system+user message pair."""
@@ -78,16 +82,17 @@ class ChatClient:
         return content
 
     def _load_cassette(self) -> dict[str, str]:
-        if self._cassette is None:
-            self._cassette = {}
-            if self.cassette_path and self.cassette_path.exists():
-                with open(self.cassette_path, encoding="utf-8") as f:
-                    for line in f:
-                        if not line.strip():
-                            continue
-                        record = json.loads(line)
-                        self._cassette[record["request_hash"]] = record["response"]
-        return self._cassette
+        with self._cassette_lock:
+            if self._cassette is None:
+                self._cassette = {}
+                if self.cassette_path and self.cassette_path.exists():
+                    with open(self.cassette_path, encoding="utf-8") as f:
+                        for line in f:
+                            if not line.strip():
+                                continue
+                            record = json.loads(line)
+                            self._cassette[record["request_hash"]] = record["response"]
+            return self._cassette
 
     def _replay(self, key: str) -> str:
         cassette = self._load_cassette()
@@ -100,10 +105,12 @@ class ChatClient:
 
     def _record(self, key: str, content: str) -> None:
         assert self.cassette_path is not None
-        with open(self.cassette_path, "a", encoding="utf-8") as f:
-            f.write(json.dumps({"request_hash": key, "response": content}))
-            f.write("\n")
-        self._load_cassette()[key] = content
+        line = json.dumps({"request_hash": key, "response": content}) + "\n"
+        cassette = self._load_cassette()
+        with self._cassette_lock:
+            with open(self.cassette_path, "a", encoding="utf-8") as f:
+                f.write(line)
+            cassette[key] = content
 
     def _post(self, messages: list[dict]) -> str:
         api_key = os.environ.get(API_KEY_ENV_VAR)

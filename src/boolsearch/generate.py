@@ -40,6 +40,9 @@ logger = logging.getLogger(__name__)
 
 CANNOT_ANSWER = "Cannot answer"
 
+# cluster_passages holds an n x n float64 distance matrix: 8 n^2 bytes, 3.2 GB at the cap
+MAX_CLUSTER_ROWS = 20_000
+
 
 @dataclass(frozen=True)
 class Cluster:
@@ -234,6 +237,8 @@ def reduce_dims(
     matrix = np.asarray(embeddings, dtype=np.float64)
     if matrix.ndim != 2:
         raise GenerationError("embeddings must be a 2-D matrix")
+    if not np.isfinite(matrix).all():
+        raise GenerationError("cannot reduce non-finite embeddings")
     n, dim = matrix.shape
     if rank < 1 or rank >= dim:
         raise GenerationError(f"rank must be in [1, dim); got rank={rank}, dim={dim}")
@@ -281,7 +286,7 @@ def cosine_distances(rows: np.ndarray) -> np.ndarray:
     zero = norms == 0.0
     sims[zero, :] = 0.0
     sims[:, zero] = 0.0
-    return 1.0 - sims
+    return np.subtract(1.0, sims, out=sims)
 
 
 def cluster_passages(
@@ -297,6 +302,16 @@ def cluster_passages(
     threshold, or when the cluster count reaches target_count. Ties on
     distance are broken by the smallest (i, j) position pair, so the
     result is fully deterministic.
+
+    Every row r keeps the minimum of distances[r, r+1:] and the first column
+    holding it, so the pair to merge is the first row with the smallest
+    minimum and that row's column. A merge of (i, j) changes row i and
+    columns i and j only: row i is rescanned, as are the rows whose minimum
+    sat in column i or j, and every other row before i compares its old
+    minimum with its new entry in column i. A merge costs O(n) plus O(n)
+    per rescanned row, so the worst case stays O(n^3) but is never worse
+    than scanning the whole matrix per merge. Inputs above MAX_CLUSTER_ROWS
+    rows and non-finite inputs are rejected before the n x n matrix exists.
     """
     rows = np.asarray(reduced, dtype=np.float64)
     n = rows.shape[0]
@@ -314,24 +329,36 @@ def cluster_passages(
         raise GenerationError(f"invalid distance threshold {distance_threshold!r}")
     if target_count is not None and not 1 <= target_count <= n:
         raise GenerationError(f"target_count must be in [1, {n}]")
+    if n > MAX_CLUSTER_ROWS:
+        raise GenerationError(
+            f"clustering {n} rows needs a {8 * n * n:,}-byte distance matrix; "
+            f"at most {MAX_CLUSTER_ROWS:,} rows can be clustered"
+        )
+    if not np.isfinite(rows).all():
+        raise GenerationError("cannot cluster non-finite embeddings")
 
     distances = cosine_distances(rows)
     np.fill_diagonal(distances, np.inf)
+    row_min = np.full(n, np.inf)
+    row_arg = np.full(n, -1, dtype=np.intp)  # -1 marks a merged-away row
+
+    def rescan(r: int) -> None:
+        tail = distances[r, r + 1 :]
+        c = int(np.argmin(tail))
+        row_min[r] = tail[c]
+        row_arg[r] = r + 1 + c
+
+    for r in range(n - 1):
+        rescan(r)
     members: list[list[int] | None] = [[i] for i in range(n)]
     active = n
 
     while active > 1:
         if target_count is not None and active <= target_count:
             break
-        masked = distances.copy()
-        for i, member in enumerate(members):
-            if member is None:
-                masked[i, :] = np.inf
-                masked[:, i] = np.inf
-        masked[np.tril_indices(n)] = np.inf
-        flat = int(np.argmin(masked))
-        i, j = divmod(flat, n)
-        best = masked[i, j]
+        i = int(np.argmin(row_min))
+        j = int(row_arg[i])
+        best = row_min[i]
         if distance_threshold is not None and best > distance_threshold:
             break
         # Lance-Williams update for average linkage
@@ -345,6 +372,17 @@ def cluster_passages(
         members[i] = members[i] + members[j]
         members[j] = None
         active -= 1
+
+        row_min[j] = np.inf
+        row_arg[j] = -1
+        stale = np.flatnonzero((row_arg[:j] == i) | (row_arg[:j] == j))
+        new_col = merged_row[:i]
+        won = (new_col < row_min[:i]) | ((new_col == row_min[:i]) & (i < row_arg[:i]))
+        row_min[:i][won] = new_col[won]
+        row_arg[:i][won] = i
+        for r in stale:
+            rescan(int(r))
+        rescan(i)
 
     clusters = []
     groups = sorted(

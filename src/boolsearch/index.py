@@ -176,6 +176,8 @@ def build_index(
 ) -> Index:
     """Embed every passage once and assemble the scoring matrix.
 
+    Passages are embedded, normalized and cast to float32 one chunk at a
+    time, so only one chunk's float64 rows are alive beside the matrix.
     Cosine indexes store unit-normalized rows (zero rows stay zero).
     """
     if similarity not in SIMILARITIES:
@@ -184,22 +186,22 @@ def build_index(
         raise BoolSearchError("cannot build an index over an empty corpus")
     ids = corpus.ids
     texts = corpus.texts
-    rows = []
+    matrix = np.empty((len(texts), spec.dim), dtype=np.float32)
     for start in range(0, len(texts), _CHUNK_ROWS):
         chunk = list(texts[start : start + _CHUNK_ROWS])
         try:
-            rows.extend(embed_texts(spec, chunk))
+            rows = np.vstack(embed_texts(spec, chunk))
         except EmbeddingError as exc:
             last = min(start + _CHUNK_ROWS, len(texts)) - 1
             raise EmbeddingError(
                 f"embedding failed for passages {ids[start]!r}..{ids[last]!r}: {exc}"
             ) from exc
-    matrix = np.vstack(rows)
-    if similarity == "cosine":
-        matrix = normalize_rows(matrix)
+        if similarity == "cosine":
+            rows = normalize_rows(rows)
+        matrix[start : start + len(chunk)] = rows
     return Index(
         doc_ids=ids,
-        matrix=matrix.astype(np.float32),
+        matrix=matrix,
         similarity=similarity,
         spec=spec,
         fingerprint=spec.fingerprint(),

@@ -8,9 +8,14 @@ construction.
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
 from boolsearch.data import Corpus, Passage
+from boolsearch.errors import GenerationError
+from boolsearch.generate import Cluster, cosine_distances
 from boolsearch.index import Index, embed_query
 from boolsearch.query import And, Atom, Not, Or
 
@@ -95,6 +100,86 @@ def oracle_evaluate_full_depth(index: Index, expr, not_mode: str, final_k: int):
 
     scored = sorted(walk(expr).items(), key=lambda pair: (-pair[1], pair[0]))
     return scored[:final_k]
+
+
+def oracle_cluster_passages(
+    reduced: np.ndarray,
+    passage_ids: Sequence[str],
+    *,
+    distance_threshold: float | None = None,
+    target_count: int | None = None,
+) -> list[Cluster]:
+    """The clustering loop that scans the whole masked matrix on every merge.
+
+    Kept verbatim as the oracle for generate.cluster_passages, which must
+    make exactly the same merges. Average linkage, cosine distance.
+
+    Merging stops when the minimum inter-cluster distance exceeds the
+    threshold, or when the cluster count reaches target_count. Ties on
+    distance are broken by the smallest (i, j) position pair, so the
+    result is fully deterministic.
+    """
+    rows = np.asarray(reduced, dtype=np.float64)
+    n = rows.shape[0]
+    if n < 2:
+        raise GenerationError("clustering needs at least 2 rows")
+    if len(passage_ids) != n:
+        raise GenerationError("passage_ids length must match the matrix rows")
+    if (distance_threshold is None) == (target_count is None):
+        raise GenerationError(
+            "exactly one of distance_threshold and target_count must be given"
+        )
+    if distance_threshold is not None and not (
+        math.isfinite(distance_threshold) and distance_threshold >= 0.0
+    ):
+        raise GenerationError(f"invalid distance threshold {distance_threshold!r}")
+    if target_count is not None and not 1 <= target_count <= n:
+        raise GenerationError(f"target_count must be in [1, {n}]")
+
+    distances = cosine_distances(rows)
+    np.fill_diagonal(distances, np.inf)
+    members: list[list[int] | None] = [[i] for i in range(n)]
+    active = n
+
+    while active > 1:
+        if target_count is not None and active <= target_count:
+            break
+        masked = distances.copy()
+        for i, member in enumerate(members):
+            if member is None:
+                masked[i, :] = np.inf
+                masked[:, i] = np.inf
+        masked[np.tril_indices(n)] = np.inf
+        flat = int(np.argmin(masked))
+        i, j = divmod(flat, n)
+        best = masked[i, j]
+        if distance_threshold is not None and best > distance_threshold:
+            break
+        # Lance-Williams update for average linkage
+        size_i, size_j = len(members[i]), len(members[j])
+        merged_row = (size_i * distances[i] + size_j * distances[j]) / (size_i + size_j)
+        distances[i, :] = merged_row
+        distances[:, i] = merged_row
+        distances[i, i] = np.inf
+        distances[j, :] = np.inf
+        distances[:, j] = np.inf
+        members[i] = members[i] + members[j]
+        members[j] = None
+        active -= 1
+
+    clusters = []
+    groups = sorted(
+        (sorted(member) for member in members if member is not None),
+        key=lambda g: g[0],
+    )
+    for cluster_id, group in enumerate(groups):
+        clusters.append(
+            Cluster(
+                cluster_id=cluster_id,
+                passage_ids=tuple(passage_ids[row] for row in group),
+            )
+        )
+    return clusters
 
 
 def random_expression(rng: np.random.Generator, max_depth: int = 5):

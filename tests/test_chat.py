@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -124,3 +127,34 @@ class TestRecord:
             assert recorder.complete("sys", "user") == "fresh"
         replayer = ChatClient(model="m", mode="replay", cassette_path=cassette)
         assert replayer.complete("sys", "user") == "fresh"
+
+    def test_shared_recorder_across_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV_VAR, "key")
+        cassette = tmp_path / "c.jsonl"
+        users = [f"question {i}" for i in range(128)]
+        together = threading.Barrier(8)
+
+        def respond(path, body, headers):
+            together.wait(timeout=10)  # eight responses arrive at once
+            # larger than the 8 KiB write buffer, so a record split in two
+            # writes reaches the file in two system calls
+            user = body["messages"][1]["content"]
+            return 200, chat_response(user + " " + "x" * 65536)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ScriptedServer(respond) as server:
+                recorder = ChatClient(endpoint=server.url, model="m", mode="record",
+                                      cassette_path=cassette)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    recorded = list(
+                        pool.map(lambda u: recorder.complete("sys", u), users)
+                    )
+        finally:
+            sys.setswitchinterval(switch)
+        lines = cassette.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(users)
+        assert all(json.loads(line)["response"] for line in lines)
+        replayer = ChatClient(model="m", mode="replay", cassette_path=cassette)
+        assert [replayer.complete("sys", u) for u in users] == recorded

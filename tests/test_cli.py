@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from boolsearch import generate
 from boolsearch.cli import dispatch, load_config
 from boolsearch.data import load_judgments, save_corpus
 from boolsearch.errors import BoolSearchError
@@ -195,6 +196,19 @@ class TestGenCommands:
         assert code == 0
         loaded = load_judgments(dataset)
         assert loaded and "AND" in out
+
+    def test_cluster_above_row_cap_is_runtime_error(
+        self, capsys, tmp_path, corpus_file, monkeypatch
+    ):
+        monkeypatch.setattr(generate, "MAX_CLUSTER_ROWS", 11)
+        clusters = tmp_path / "clusters.json"
+        code, out, err = run_cli(
+            capsys, "gen", "cluster", "--corpus", str(corpus_file),
+            "--out", str(clusters), "--clusters", "3", "--svd-rank", "16", "--dim", "64",
+        )
+        assert code == 2
+        assert "12 rows" in err and "1,152-byte" in err
+        assert not clusters.exists()
 
     def test_generation_is_reproducible(self, capsys, tmp_path, corpus_file):
         clusters = tmp_path / "clusters.json"

@@ -9,8 +9,10 @@ from boolsearch.chat import request_hash
 from boolsearch.data import Corpus, Passage, QuestionType, compute_stats, save_judgments
 from boolsearch.embed import EmbedderSpec, embed_texts
 from boolsearch.errors import GenerationError
+from boolsearch import generate
 from boolsearch.generate import (
     Cluster,
+    MAX_CLUSTER_ROWS,
     DEFAULT_PROMPTS,
     GeneratedQuestion,
     GeneratorSpec,
@@ -32,7 +34,7 @@ from boolsearch.generate import (
 )
 from boolsearch.query import Not, parse_boolean_query
 
-from _planted import planted_corpus
+from _planted import oracle_cluster_passages, planted_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -102,6 +104,12 @@ class TestReduceDims:
         with pytest.raises(GenerationError):
             reduce_dims(matrix, rank=4, sample_cap=2)
 
+    def test_non_finite_input_rejected(self):
+        matrix = np.random.default_rng(0).standard_normal((10, 6))
+        matrix[3, 2] = np.nan
+        with pytest.raises(GenerationError, match="non-finite"):
+            reduce_dims(matrix, rank=2, sample_cap=10)
+
 
 class TestClusterPassages:
     def test_recovers_planted_two_topic_partition(self):
@@ -158,6 +166,74 @@ class TestClusterPassages:
         rows = np.eye(3)
         with pytest.raises(GenerationError, match="exactly one"):
             cluster_passages(rows, list("abc"))
+
+    def test_non_finite_row_rejected(self):
+        rows = np.array([[1.0, 0.0], [0.999, 0.01], [np.nan, 0.0], [-0.999, -0.01]])
+        with pytest.raises(GenerationError, match="non-finite"):
+            cluster_passages(rows, list("abcd"), distance_threshold=0.5)
+
+    def test_row_cap_fails_before_distance_matrix(self, monkeypatch):
+        def no_matrix(rows):
+            raise AssertionError("the n x n matrix was allocated")
+
+        monkeypatch.setattr(generate, "cosine_distances", no_matrix)
+        n = MAX_CLUSTER_ROWS + 1
+        rows = np.ones((n, 2))
+        with pytest.raises(GenerationError) as err:
+            cluster_passages(rows, [f"p{i}" for i in range(n)], target_count=2)
+        assert f"{n} rows" in str(err.value)
+        assert f"{8 * n * n:,}-byte" in str(err.value)
+
+
+def differential_rows(kind: str, rng: np.random.Generator) -> np.ndarray:
+    n, dim = int(rng.integers(2, 61)), int(rng.integers(2, 9))
+    if kind == "gaussian":
+        return rng.standard_normal((n, dim))
+    if kind == "small-int":  # many exactly equal distances
+        return rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+    if kind == "duplicates":  # planted identical rows: distance-0 ties
+        base = rng.standard_normal((max(1, n // 3), dim))
+        return base[rng.integers(0, len(base), size=n)]
+    rows = rng.integers(0, 2, size=(n, dim)).astype(np.float64)
+    rows[rng.random(n) < 0.3] = 0.0  # all-zero rows sit at distance 1
+    return rows
+
+
+class TestClusterPassagesMatchesOracle:
+    """The incremental row-minimum loop against the full rescan it replaced."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "small-int", "duplicates", "zeros"])
+    def test_every_stop_rule(self, kind):
+        for seed in range(75):
+            rows = differential_rows(kind, np.random.default_rng([seed, len(kind)]))
+            n = len(rows)
+            ids = [f"p{i}" for i in range(n)]
+            rules = [{"target_count": t} for t in sorted({1, 2, max(1, n // 3), n})]
+            rules += [
+                {"distance_threshold": t} for t in (0.0, 0.05, 0.3, 0.7, 1.0, 1.5)
+            ]
+            for rule in rules:
+                got = cluster_passages(rows, ids, **rule)
+                assert got == oracle_cluster_passages(rows, ids, **rule), (seed, rule)
+
+    def test_merged_column_rounding_onto_a_row_minimum(self):
+        # Row 0 is at distance m from row 2 and from the eight copies of
+        # row 3, and a hair further from row 1. Merging the copies into
+        # row 1 averages its distance down until it rounds to exactly m:
+        # row 0's first minimum then moves from column 2 to column 1
+        # without column 2 changing, which only the tie rule catches.
+        y = np.tan(0.5)
+        beyond = [1.0, -y * (1 + 2.0**-51)]
+        rows = np.array([[1.0, 0.0], beyond, [1.0, y]] + [[1.0, -y]] * 8)
+        ids = [f"p{i}" for i in range(len(rows))]
+        got = cluster_passages(rows, ids, target_count=2)
+        assert got == oracle_cluster_passages(rows, ids, target_count=2)
+
+    def test_400_rows_rank_128(self):
+        rows = np.random.default_rng(400).standard_normal((400, 128))
+        ids = [f"p{i}" for i in range(400)]
+        got = cluster_passages(rows, ids, target_count=40)
+        assert got == oracle_cluster_passages(rows, ids, target_count=40)
 
 
 class TestSampleCandidates:

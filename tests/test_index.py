@@ -89,6 +89,14 @@ class TestBuildIndex:
         index = build_index(small_corpus(), SPEC, "cosine")
         norms = np.linalg.norm(index.matrix.astype(np.float64), axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-6)
+        # more rows than one build chunk: the chunked build equals stacking,
+        # normalizing and casting the whole corpus at once, bit for bit
+        corpus = random_corpus(np.random.default_rng(5), 2500)
+        stacked = np.vstack([hashed_bow_embed(t, SPEC.dim, SPEC.seed) for t in corpus.texts])
+        for sim, expected in (("cosine", normalize_rows(stacked)), ("dot", stacked)):
+            matrix = build_index(corpus, SPEC, sim).matrix
+            assert matrix.dtype == np.float32
+            assert matrix.tobytes() == expected.astype(np.float32).tobytes()
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(BoolSearchError, match="empty"):
