@@ -13,15 +13,15 @@ import hashlib
 import json
 import os
 import threading
-import time
 from pathlib import Path
 
-import requests
-
 from .errors import ChatError
+from .remote import post_json
 
 API_KEY_ENV_VAR = "BOOLSEARCH_CHAT_API_KEY"
 MODES = ("live", "record", "replay")
+TIMEOUT_S = 60.0
+BACKOFF_S = 1.0
 
 
 def request_hash(model: str, messages: list[dict]) -> str:
@@ -36,9 +36,9 @@ class ChatClient:
 
     mode "live" only talks to the network, "record" talks to the network
     and appends (request_hash, response) lines to the cassette, "replay"
-    only reads the cassette and raises on unknown requests. One client may
-    be shared across threads: one lock guards the cassette in memory and on
-    disk, and each record is appended with a single write.
+    only reads the cassette, loaded when the client is made, and raises on
+    unknown requests. One client may be shared across threads: a lock
+    serialises the appends, and each record is appended with a single write.
     """
 
     def __init__(
@@ -47,9 +47,6 @@ class ChatClient:
         model: str = "",
         mode: str = "live",
         cassette_path: str | Path | None = None,
-        timeout: float = 60.0,
-        max_attempts: int = 3,
-        backoff_base: float = 1.0,
     ):
         if mode not in MODES:
             raise ChatError(f"unknown chat mode {mode!r}; expected one of {MODES}")
@@ -61,11 +58,8 @@ class ChatClient:
         self.model = model
         self.mode = mode
         self.cassette_path = Path(cassette_path) if cassette_path else None
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self._cassette: dict[str, str] | None = None
-        self._cassette_lock = threading.Lock()
+        self._cassette = self._load_cassette() if mode == "replay" else {}
+        self._record_lock = threading.Lock()
 
     def complete(self, system: str, user: str) -> str:
         """Return the completion for one system+user message pair."""
@@ -75,42 +69,37 @@ class ChatClient:
         ]
         key = request_hash(self.model, messages)
         if self.mode == "replay":
-            return self._replay(key)
+            if key not in self._cassette:
+                raise ChatError(
+                    f"no recorded response for request {key[:12]}... in "
+                    f"{self.cassette_path}"
+                )
+            return self._cassette[key]
         content = self._post(messages)
         if self.mode == "record":
-            self._record(key, content)
+            line = json.dumps({"request_hash": key, "response": content}) + "\n"
+            with self._record_lock, open(self.cassette_path, "a", encoding="utf-8") as f:
+                f.write(line)
         return content
 
     def _load_cassette(self) -> dict[str, str]:
-        with self._cassette_lock:
-            if self._cassette is None:
-                self._cassette = {}
-                if self.cassette_path and self.cassette_path.exists():
-                    with open(self.cassette_path, encoding="utf-8") as f:
-                        for line in f:
-                            if not line.strip():
-                                continue
-                            record = json.loads(line)
-                            self._cassette[record["request_hash"]] = record["response"]
-            return self._cassette
-
-    def _replay(self, key: str) -> str:
-        cassette = self._load_cassette()
-        if key not in cassette:
-            raise ChatError(
-                f"no recorded response for request {key[:12]}... in "
-                f"{self.cassette_path}"
-            )
-        return cassette[key]
-
-    def _record(self, key: str, content: str) -> None:
-        assert self.cassette_path is not None
-        line = json.dumps({"request_hash": key, "response": content}) + "\n"
-        cassette = self._load_cassette()
-        with self._cassette_lock:
-            with open(self.cassette_path, "a", encoding="utf-8") as f:
-                f.write(line)
-            cassette[key] = content
+        cassette = {}
+        if not self.cassette_path.exists():
+            return cassette
+        with open(self.cassette_path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                where = f"{self.cassette_path}:{lineno}"
+                try:
+                    record = json.loads(line)
+                    key, response = record["request_hash"], record["response"]
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ChatError(f"{where}: malformed cassette line: {exc!r}") from None
+                if not isinstance(key, str) or not isinstance(response, str):
+                    raise ChatError(f"{where}: request_hash and response must be strings")
+                cassette[key] = response
+        return cassette
 
     def _post(self, messages: list[dict]) -> str:
         api_key = os.environ.get(API_KEY_ENV_VAR)
@@ -119,33 +108,21 @@ class ChatClient:
                 f"chat mode {self.mode!r} requires the {API_KEY_ENV_VAR} "
                 "environment variable"
             )
-        headers = {"Authorization": f"Bearer {api_key}"}
-        body = {"model": self.model, "messages": messages}
-        last_error: ChatError | None = None
-        for attempt in range(self.max_attempts):
-            if attempt:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-            try:
-                response = requests.post(
-                    self.endpoint, json=body, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                last_error = ChatError(f"chat request failed: {exc}")
-                continue
-            if response.status_code == 200:
-                return self._parse(response)
-            last_error = ChatError(
-                f"chat endpoint returned HTTP {response.status_code}: "
-                f"{response.text[:200]}"
-            )
-            if 400 <= response.status_code < 500 and response.status_code != 429:
-                raise last_error
-        assert last_error is not None
-        raise last_error
-
-    @staticmethod
-    def _parse(response) -> str:
+        reply = post_json(
+            self.endpoint,
+            {"model": self.model, "messages": messages},
+            token=api_key,
+            timeout=TIMEOUT_S,
+            backoff=BACKOFF_S,
+            error=ChatError,
+        )
         try:
-            return response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError) as exc:
-            raise ChatError(f"malformed chat response: {exc}") from None
+            content = reply["choices"][0]["message"]["content"]
+        except (TypeError, KeyError, IndexError) as exc:
+            raise ChatError(f"malformed chat response: {exc!r}") from None
+        if not isinstance(content, str):
+            raise ChatError(
+                f"malformed chat response: content is {type(content).__name__}, "
+                "not a string"
+            )
+        return content

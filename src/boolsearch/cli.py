@@ -212,14 +212,7 @@ def dispatch(argv: list[str]) -> int:
 
 
 def _cmd_index(args, config: AppConfig) -> int:
-    spec_dim = config.get("dim", "embedder.dim", 256, int)
-    spec = EmbedderSpec(
-        kind=config.get("embedder", "embedder.kind", "hashed-bow"),
-        dim=spec_dim,
-        normalize=not config.get("raw_vectors", "embedder.raw", False, _bool),
-        seed=config.get("embed_seed", "embedder.seed", 0, int),
-        endpoint=config.get("endpoint", "embedder.endpoint", ""),
-    )
+    spec = config.embedder_spec()
     similarity = config.get("sim", "index.similarity", "cosine")
     corpus = load_corpus(args.corpus)
     index = build_index(corpus, spec, similarity)

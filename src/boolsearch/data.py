@@ -239,7 +239,10 @@ def load_judgments(path: str | Path, corpus: Corpus | None = None) -> list[Judgm
             except JudgmentFormatError as exc:
                 raise JudgmentFormatError(f"{path}:{lineno}: {exc}") from None
             if corpus is not None:
-                unknown = (judgment.positives | judgment.negatives) - set(corpus.ids)
+                unknown = [
+                    pid for pid in judgment.positives | judgment.negatives
+                    if pid not in corpus
+                ]
                 if unknown:
                     raise JudgmentFormatError(
                         f"{path}:{lineno}: question {judgment.question_id!r} "

@@ -11,14 +11,13 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
 from .errors import EmbeddingError, EmbeddingServiceError
+from .remote import post_json
 
 # Embeddings are plain float64 numpy vectors.
 Embedding = np.ndarray
@@ -26,6 +25,9 @@ Embedding = np.ndarray
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 REMOTE_BATCH_SIZE = 64
+REMOTE_WORKERS = 4
+TIMEOUT_S = 30.0
+BACKOFF_S = 0.5
 TOKEN_ENV_VAR = "BOOLSEARCH_EMBED_TOKEN"
 
 
@@ -94,99 +96,63 @@ def embed_texts(spec: EmbedderSpec, texts: list[str]) -> list[Embedding]:
     if spec.kind == "hashed-bow":
         vectors = [hashed_bow_embed(t, spec.dim, spec.seed) for t in texts]
     else:
-        vectors = RemoteEmbedder(spec).embed(texts)
+        vectors = _remote_embed(spec, texts)
     if spec.normalize:
         vectors = [v if not v.any() else v / np.linalg.norm(v) for v in vectors]
     return vectors
 
 
-class RemoteEmbedder:
-    """Client for a POST {endpoint}/embed service.
+def _remote_embed(spec: EmbedderSpec, texts: list[str]) -> list[Embedding]:
+    """Embed texts through a POST {endpoint}/embed service.
 
     Requests carry {"texts": [...]} bodies of at most REMOTE_BATCH_SIZE
-    texts and expect {"vectors": [[...]]} back. Batches run on a bounded
-    thread pool; each request is retried up to 3 times with exponential
-    backoff. A bearer token is read from BOOLSEARCH_EMBED_TOKEN if set.
+    texts and expect {"vectors": [[...]]} back, one finite spec.dim row per
+    text. Batches run on REMOTE_WORKERS threads. A bearer token is read from
+    BOOLSEARCH_EMBED_TOKEN if set.
     """
+    url = spec.endpoint.rstrip("/") + "/embed"
+    token = os.environ.get(TOKEN_ENV_VAR)
 
-    def __init__(
-        self,
-        spec: EmbedderSpec,
-        max_concurrency: int = 4,
-        timeout: float = 30.0,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
-    ):
-        if spec.kind != "remote":
-            raise EmbeddingError("RemoteEmbedder requires a remote spec")
-        self.spec = spec
-        self.max_concurrency = max_concurrency
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-
-    def embed(self, texts: list[str]) -> list[Embedding]:
-        batches = [
-            texts[i : i + REMOTE_BATCH_SIZE]
-            for i in range(0, len(texts), REMOTE_BATCH_SIZE)
-        ]
-        if not batches:
-            return []
-        if len(batches) == 1:
-            results = [self._embed_batch(batches[0])]
-        else:
-            with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
-                results = list(pool.map(self._embed_batch, batches))
-        return [vec for batch in results for vec in batch]
-
-    def _embed_batch(self, texts: list[str]) -> list[Embedding]:
-        headers = {}
-        token = os.environ.get(TOKEN_ENV_VAR)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        url = self.spec.endpoint.rstrip("/") + "/embed"
-        last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
-            if attempt:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-            try:
-                response = requests.post(
-                    url, json={"texts": texts}, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                last_error = EmbeddingServiceError(f"embed request failed: {exc}")
-                continue
-            if response.status_code != 200:
-                last_error = EmbeddingServiceError(
-                    f"embed service returned HTTP {response.status_code}: "
-                    f"{response.text[:200]}"
-                )
-                # 4xx other than 429 will not improve on retry
-                if 400 <= response.status_code < 500 and response.status_code != 429:
-                    raise last_error
-                continue
-            return self._parse_vectors(response, len(texts))
-        raise last_error if last_error else EmbeddingServiceError("embed failed")
-
-    def _parse_vectors(self, response, expected: int) -> list[Embedding]:
-        try:
-            payload = response.json()
-            rows = payload["vectors"]
-        except (ValueError, KeyError) as exc:
-            raise EmbeddingServiceError(f"malformed embed response: {exc}") from None
-        if len(rows) != expected:
+    def embed_batch(batch: list[str]) -> list[Embedding]:
+        reply = post_json(
+            url,
+            {"texts": batch},
+            token=token,
+            timeout=TIMEOUT_S,
+            backoff=BACKOFF_S,
+            error=EmbeddingServiceError,
+        )
+        rows = reply.get("vectors") if isinstance(reply, dict) else None
+        if not isinstance(rows, list):
             raise EmbeddingServiceError(
-                f"embed service returned {len(rows)} vectors for {expected} texts"
+                'malformed embed response: expected {"vectors": [[...], ...]}'
+            )
+        if len(rows) != len(batch):
+            raise EmbeddingServiceError(
+                f"embed service returned {len(rows)} vectors for {len(batch)} texts"
             )
         vectors = []
         for row in rows:
-            vec = np.asarray(row, dtype=np.float64)
-            if vec.shape != (self.spec.dim,):
+            try:
+                vec = np.asarray(row, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise EmbeddingServiceError(f"malformed embed response: {exc}") from None
+            if vec.shape != (spec.dim,):
                 raise EmbeddingServiceError(
                     f"embed service returned dimension {vec.shape}, "
-                    f"expected ({self.spec.dim},)"
+                    f"expected ({spec.dim},)"
                 )
             if not np.all(np.isfinite(vec)):
                 raise EmbeddingServiceError("embed service returned non-finite values")
             vectors.append(vec)
         return vectors
+
+    batches = [
+        texts[i : i + REMOTE_BATCH_SIZE] for i in range(0, len(texts), REMOTE_BATCH_SIZE)
+    ]
+    if len(batches) <= 1:
+        results = [embed_batch(batch) for batch in batches]
+    else:
+        with ThreadPoolExecutor(max_workers=REMOTE_WORKERS) as pool:
+            results = list(pool.map(embed_batch, batches))
+    return [vec for batch in results for vec in batch]

@@ -289,6 +289,14 @@ def cosine_distances(rows: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, sims, out=sims)
 
 
+def _check_cluster_rows(n: int) -> None:
+    if n > MAX_CLUSTER_ROWS:
+        raise GenerationError(
+            f"clustering {n} rows needs a {8 * n * n:,}-byte distance matrix; "
+            f"at most {MAX_CLUSTER_ROWS:,} rows can be clustered"
+        )
+
+
 def cluster_passages(
     reduced: np.ndarray,
     passage_ids: Sequence[str],
@@ -329,11 +337,7 @@ def cluster_passages(
         raise GenerationError(f"invalid distance threshold {distance_threshold!r}")
     if target_count is not None and not 1 <= target_count <= n:
         raise GenerationError(f"target_count must be in [1, {n}]")
-    if n > MAX_CLUSTER_ROWS:
-        raise GenerationError(
-            f"clustering {n} rows needs a {8 * n * n:,}-byte distance matrix; "
-            f"at most {MAX_CLUSTER_ROWS:,} rows can be clustered"
-        )
+    _check_cluster_rows(n)
     if not np.isfinite(rows).all():
         raise GenerationError("cannot cluster non-finite embeddings")
 
@@ -410,6 +414,7 @@ def cluster_corpus(
     target_count: int | None = None,
 ) -> list[Cluster]:
     """Embed, reduce, and cluster a corpus in one step."""
+    _check_cluster_rows(len(corpus))  # fail before the embedding and SVD work
     matrix = np.vstack(embed_texts(embedder, list(corpus.texts)))
     rank = min(svd_rank, matrix.shape[1] - 1)
     reduced = reduce_dims(matrix, rank=rank, sample_cap=max(sample_cap, rank), seed=seed)
@@ -841,7 +846,9 @@ def assemble_dataset(
     )
     judgments = []
     for question in kept:
-        unknown = (question.positives | question.negatives) - set(corpus.ids)
+        unknown = [
+            pid for pid in question.positives | question.negatives if pid not in corpus
+        ]
         if unknown:
             raise GenerationError(
                 f"question {question.question_id!r} references unknown "
@@ -857,14 +864,6 @@ def assemble_dataset(
             )
         )
     return judgments, compute_stats(judgments)
-
-
-def chat_complete(spec: GeneratorSpec, system: str, user: str) -> str:
-    """Single chat completion under the generator's chat configuration."""
-    client = spec.make_client()
-    if client is None:
-        raise GenerationError("chat_complete requires a chat-mode generator spec")
-    return client.complete(system, user)
 
 
 # ---------------------------------------------------------------------------
@@ -933,8 +932,11 @@ def save_clusters(clusters: Sequence[Cluster], path: str | Path) -> None:
 
 
 def load_clusters(path: str | Path) -> list[Cluster]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        Cluster(cluster_id=raw["cluster_id"], passage_ids=tuple(raw["passage_ids"]))
-        for raw in payload
-    ]
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        return [
+            Cluster(cluster_id=raw["cluster_id"], passage_ids=tuple(raw["passage_ids"]))
+            for raw in payload
+        ]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise GenerationError(f"{path}: malformed clusters file: {exc!r}") from None

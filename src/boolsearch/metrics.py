@@ -180,29 +180,6 @@ def _report_payload(report: EvalReport) -> dict:
     }
 
 
-def report_from_json(text: str) -> EvalReport:
-    """Inverse of render_report(..., fmt="json")."""
-    payload = json.loads(text)
-
-    def parse_slice(raw: Mapping) -> MetricSlice:
-        return MetricSlice(
-            n_questions=raw["n_questions"],
-            n_with_negatives=raw["n_with_negatives"],
-            mrr=raw["mrr"],
-            neg_recall=raw["neg_recall"],
-        )
-
-    return EvalReport(
-        k=payload["k"],
-        overall=parse_slice(payload["overall"]),
-        per_type={
-            QuestionType.parse(name): parse_slice(raw)
-            for name, raw in payload["per_type"].items()
-        },
-        missing_questions=tuple(payload["missing_questions"]),
-    )
-
-
 def save_run(run: RunResult, path: str | Path) -> None:
     with atomic_write(path) as f:
         for question_id in run:

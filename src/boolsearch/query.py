@@ -302,8 +302,10 @@ def _min_max_normalize(ranked: RankedList) -> RankedList:
     low, high = min(values), max(values)
     if low == high:
         return RankedList(ScoredDoc(item.doc_id, 1.0) for item in ranked)
-    return RankedList(
-        ScoredDoc(item.doc_id, (item.score - low) / (high - low)) for item in ranked
+    # scaling can round adjacent scores onto one value; re-sort so the
+    # collapsed ties take the ascending-id order
+    return RankedList.from_scores(
+        (item.doc_id, (item.score - low) / (high - low)) for item in ranked
     )
 
 

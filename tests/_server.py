@@ -11,7 +11,8 @@ class ScriptedServer:
     """Serves scripted responses and records every request it sees.
 
     respond is a callable (path, body_dict, headers) -> (status, payload);
-    payload is JSON-encoded. Requests are appended to self.requests.
+    payload is JSON-encoded unless it is bytes, which are sent as they are.
+    Requests are appended to self.requests.
     """
 
     def __init__(self, respond):
@@ -33,7 +34,10 @@ class ScriptedServer:
                         }
                     )
                 status, payload = outer.respond(self.path, body, self.headers)
-                blob = json.dumps(payload).encode("utf-8")
+                if isinstance(payload, bytes):
+                    blob = payload
+                else:
+                    blob = json.dumps(payload).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(blob)))
@@ -44,7 +48,9 @@ class ScriptedServer:
                 pass
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     def __enter__(self) -> "ScriptedServer":
         self.thread.start()

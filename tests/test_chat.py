@@ -5,10 +5,16 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from boolsearch import chat
 from boolsearch.chat import API_KEY_ENV_VAR, ChatClient, request_hash
 from boolsearch.errors import ChatError
 
 from _server import ScriptedServer
+
+
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    monkeypatch.setattr(chat, "BACKOFF_S", 0.01)
 
 
 def chat_response(content):
@@ -30,11 +36,11 @@ class TestConfiguration:
 
     def test_missing_credential_fails_before_any_request(self, monkeypatch):
         monkeypatch.delenv(API_KEY_ENV_VAR, raising=False)
-        # unroutable endpoint: if a request were attempted this would hang
-        client = ChatClient(endpoint="http://192.0.2.1/v1", model="m",
-                            timeout=0.1, max_attempts=1)
-        with pytest.raises(ChatError, match=API_KEY_ENV_VAR):
-            client.complete("sys", "user")
+        with ScriptedServer(lambda *_: (200, chat_response("x"))) as server:
+            client = ChatClient(endpoint=server.url, model="m")
+            with pytest.raises(ChatError, match=API_KEY_ENV_VAR):
+                client.complete("sys", "user")
+            assert server.requests == []
 
 
 class TestReplay:
@@ -51,6 +57,19 @@ class TestReplay:
         client = ChatClient(model="m", mode="replay", cassette_path=cassette)
         assert client.complete("sys", "user") == "recorded reply"
         assert client.complete("sys", "user") == "recorded reply"
+
+    @pytest.mark.parametrize("line", [
+        "{bad",
+        json.dumps({"request_hash": "h"}),
+        json.dumps({"request_hash": "h", "response": None}),
+        json.dumps(["h", "reply"]),
+    ])
+    def test_malformed_cassette_line_names_path_and_line(self, tmp_path, line):
+        cassette = tmp_path / "c.jsonl"
+        good = json.dumps({"request_hash": "g", "response": "fine"})
+        cassette.write_text(good + "\n\n" + line + "\n")
+        with pytest.raises(ChatError, match=f"c.jsonl:3"):
+            ChatClient(model="m", mode="replay", cassette_path=cassette)
 
     def test_unknown_request_rejected(self, tmp_path):
         cassette = tmp_path / "c.jsonl"
@@ -82,7 +101,7 @@ class TestTransport:
             return 429, {"error": "slow down"}
 
         with ScriptedServer(always_429) as server:
-            client = ChatClient(endpoint=server.url, model="m", backoff_base=0.01)
+            client = ChatClient(endpoint=server.url, model="m")
             with pytest.raises(ChatError, match="429"):
                 client.complete("sys", "user")
             assert len(server.requests) == 3
@@ -98,7 +117,7 @@ class TestTransport:
             return 200, chat_response("ok")
 
         with ScriptedServer(flaky) as server:
-            client = ChatClient(endpoint=server.url, model="m", backoff_base=0.01)
+            client = ChatClient(endpoint=server.url, model="m")
             assert client.complete("sys", "user") == "ok"
 
     def test_malformed_payload_rejected(self, monkeypatch):
@@ -111,6 +130,29 @@ class TestTransport:
             client = ChatClient(endpoint=server.url, model="m")
             with pytest.raises(ChatError, match="malformed"):
                 client.complete("sys", "user")
+
+    @pytest.mark.parametrize("payload", [
+        [chat_response("hi")],  # a JSON list, not an object
+        chat_response(None),  # null content
+        chat_response(["hi"]),
+        {"choices": "hi"},
+        b"<html>not json</html>",
+    ], ids=["list-body", "null-content", "list-content", "string-choices", "not-json"])
+    def test_malformed_reply_shapes_fail_closed(self, monkeypatch, payload):
+        monkeypatch.setenv(API_KEY_ENV_VAR, "key")
+        with ScriptedServer(lambda *_: (200, payload)) as server:
+            client = ChatClient(endpoint=server.url, model="m")
+            with pytest.raises(ChatError, match="malformed"):
+                client.complete("sys", "user")
+            assert len(server.requests) == 1  # a bad reply is not retried
+
+    def test_client_error_fails_fast(self, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV_VAR, "key")
+        with ScriptedServer(lambda *_: (400, {"error": "bad"})) as server:
+            client = ChatClient(endpoint=server.url, model="m")
+            with pytest.raises(ChatError, match="HTTP 400"):
+                client.complete("sys", "user")
+            assert len(server.requests) == 1
 
 
 class TestRecord:

@@ -210,6 +210,38 @@ class TestGenCommands:
         assert "12 rows" in err and "1,152-byte" in err
         assert not clusters.exists()
 
+    def test_clusters_file_missing_passage_ids_is_runtime_error(
+        self, capsys, tmp_path, corpus_file
+    ):
+        clusters = tmp_path / "clusters.json"
+        clusters.write_text('[{"cluster_id": 0}]')
+        code, out, err = run_cli(
+            capsys, "gen", "questions", "--corpus", str(corpus_file),
+            "--clusters", str(clusters), "--out", str(tmp_path / "q.jsonl"),
+            "--mode", "template",
+        )
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and str(clusters) in err
+
+    def test_corrupt_cassette_line_is_runtime_error(
+        self, capsys, tmp_path, corpus_file
+    ):
+        corpus, _ = planted_corpus(n_clusters=3, per_cluster=4)
+        clusters = tmp_path / "clusters.json"
+        generate.save_clusters([generate.Cluster(0, corpus.ids[:4])], clusters)
+        cassette = tmp_path / "cassette.jsonl"
+        cassette.write_text("{bad\n")
+        code, out, err = run_cli(
+            capsys, "gen", "questions", "--corpus", str(corpus_file),
+            "--clusters", str(clusters), "--out", str(tmp_path / "q.jsonl"),
+            "--mode", "chat", "--chat-model", "m", "--chat-mode", "replay",
+            "--cassette", str(cassette),
+        )
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and f"{cassette}:1" in err
+
     def test_generation_is_reproducible(self, capsys, tmp_path, corpus_file):
         clusters = tmp_path / "clusters.json"
         run_cli(capsys, "gen", "cluster", "--corpus", str(corpus_file),

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolsearch import embed
 from boolsearch.embed import (
     EmbedderSpec,
-    RemoteEmbedder,
     TOKEN_ENV_VAR,
     embed_texts,
     hashed_bow_embed,
@@ -106,6 +106,10 @@ def _echo_embedder(dim):
 
 
 class TestRemoteEmbedder:
+    @pytest.fixture(autouse=True)
+    def fast_backoff(self, monkeypatch):
+        monkeypatch.setattr(embed, "BACKOFF_S", 0.01)
+
     def test_vectors_in_order(self):
         with ScriptedServer(_echo_embedder(8)) as server:
             spec = EmbedderSpec(kind="remote", dim=8, normalize=False,
@@ -118,7 +122,7 @@ class TestRemoteEmbedder:
         with ScriptedServer(_echo_embedder(8)) as server:
             spec = EmbedderSpec(kind="remote", dim=8, normalize=False,
                                 endpoint=server.url)
-            vectors = RemoteEmbedder(spec).embed([f"t{i}" for i in range(130)])
+            vectors = embed_texts(spec, [f"t{i}" for i in range(130)])
             sizes = [len(r["body"]["texts"]) for r in server.requests]
         assert len(vectors) == 130
         assert sorted(sizes) == [2, 64, 64]
@@ -136,8 +140,7 @@ class TestRemoteEmbedder:
         with ScriptedServer(flaky) as server:
             spec = EmbedderSpec(kind="remote", dim=8, normalize=False,
                                 endpoint=server.url)
-            embedder = RemoteEmbedder(spec, backoff_base=0.01)
-            vectors = embedder.embed(["a"])
+            vectors = embed_texts(spec, ["a"])
         assert state["calls"] == 3 and len(vectors) == 1
 
     def test_persistent_failure_surfaces_status(self):
@@ -147,9 +150,8 @@ class TestRemoteEmbedder:
         with ScriptedServer(failing) as server:
             spec = EmbedderSpec(kind="remote", dim=8, normalize=False,
                                 endpoint=server.url)
-            embedder = RemoteEmbedder(spec, backoff_base=0.01)
             with pytest.raises(EmbeddingServiceError, match="503"):
-                embedder.embed(["a"])
+                embed_texts(spec, ["a"])
         assert len(server.requests) == 3
 
     def test_client_error_fails_fast(self):
@@ -160,7 +162,7 @@ class TestRemoteEmbedder:
             spec = EmbedderSpec(kind="remote", dim=8, normalize=False,
                                 endpoint=server.url)
             with pytest.raises(EmbeddingServiceError, match="400"):
-                RemoteEmbedder(spec, backoff_base=0.01).embed(["a"])
+                embed_texts(spec, ["a"])
         assert len(server.requests) == 1
 
     def test_dimension_mismatch_rejected(self):
@@ -179,6 +181,37 @@ class TestRemoteEmbedder:
                                 endpoint=server.url)
             with pytest.raises(EmbeddingServiceError, match="1 vectors for 2"):
                 embed_texts(spec, ["a", "b"])
+
+    @pytest.mark.parametrize("payload", [
+        {"vectors": [["a"] * 8]},
+        {"vectors": 5},
+        [[0.0] * 8],  # a JSON list, not an object
+        {"vectors": [{"x": 1.0}]},
+        {"vectors": None},
+        b"not json",
+    ], ids=["string-entries", "number", "list-body", "object-row", "null", "not-json"])
+    def test_malformed_reply_shapes_fail_closed(self, payload):
+        with ScriptedServer(lambda *_: (200, payload)) as server:
+            spec = EmbedderSpec(kind="remote", dim=8, normalize=False,
+                                endpoint=server.url)
+            with pytest.raises(EmbeddingServiceError, match="malformed"):
+                embed_texts(spec, ["a"])
+        assert len(server.requests) == 1  # a bad reply is not retried
+
+    def test_non_finite_values_rejected(self):
+        with ScriptedServer(lambda *_: (200, {"vectors": [[0.0] * 7 + [1e309]]})) as server:
+            spec = EmbedderSpec(kind="remote", dim=8, normalize=False,
+                                endpoint=server.url)
+            with pytest.raises(EmbeddingServiceError, match="non-finite"):
+                embed_texts(spec, ["a"])
+
+    def test_no_token_no_header(self, monkeypatch):
+        monkeypatch.delenv(TOKEN_ENV_VAR, raising=False)
+        with ScriptedServer(_echo_embedder(8)) as server:
+            spec = EmbedderSpec(kind="remote", dim=8, normalize=False,
+                                endpoint=server.url)
+            embed_texts(spec, ["a"])
+            assert "Authorization" not in server.requests[0]["headers"]
 
     def test_bearer_token_attached(self, monkeypatch):
         monkeypatch.setenv(TOKEN_ENV_VAR, "sekrit")

@@ -540,6 +540,33 @@ class TestPipeline:
         assert load_questions(path) == questions
 
 
+    def test_row_cap_checked_before_embedding(self, monkeypatch):
+        def no_embedding(spec, texts):
+            raise AssertionError("the corpus was embedded")
+
+        corpus, _ = planted_corpus(n_clusters=3, per_cluster=4)
+        monkeypatch.setattr(generate, "MAX_CLUSTER_ROWS", len(corpus) - 1)
+        monkeypatch.setattr(generate, "embed_texts", no_embedding)
+        with pytest.raises(GenerationError, match=f"{len(corpus)} rows"):
+            cluster_corpus(corpus, EmbedderSpec(dim=64), svd_rank=16, target_count=3)
+
+
+class TestClusterFileIO:
+    @pytest.mark.parametrize("text", [
+        '[{"cluster_id": 0}]',
+        '[{"passage_ids": ["a"]}]',
+        '{"cluster_id": 0, "passage_ids": ["a"]}',
+        '[["a", "b"]]',
+        "[{bad",
+        "7",
+    ])
+    def test_malformed_file_names_path(self, tmp_path, text):
+        path = tmp_path / "clusters.json"
+        path.write_text(text)
+        with pytest.raises(GenerationError, match="clusters.json"):
+            generate.load_clusters(path)
+
+
 class TestAssemble:
     def build_filtered(self):
         corpus, _ = planted_corpus(n_clusters=3, per_cluster=4)
@@ -584,29 +611,6 @@ class TestAssemble:
         )
         with pytest.raises(GenerationError, match="ghost-q"):
             assemble_dataset([q], corpus)
-
-
-class TestChatComplete:
-    def test_replays_under_generator_spec(self):
-        from boolsearch.generate import chat_complete
-
-        spec = chat_spec()
-        # reuse a recorded answerer exchange
-        response = chat_complete(
-            spec,
-            DEFAULT_PROMPTS.answerer_system,
-            DEFAULT_PROMPTS.answerer.format(
-                question="What color is the sun but not the moon?",
-                paragraphs="The sun is yellow.",
-            ),
-        )
-        assert response == "Yellow."
-
-    def test_template_spec_rejected(self):
-        from boolsearch.generate import chat_complete
-
-        with pytest.raises(GenerationError, match="chat-mode"):
-            chat_complete(TEMPLATE_SPEC, "sys", "user")
 
 
 class TestGeneratorSpecValidation:

@@ -7,16 +7,40 @@ from boolsearch.data import Judgment, QuestionType, load_judgments
 from boolsearch.errors import RunFormatError
 from boolsearch.index import RankedList, ScoredDoc
 from boolsearch.metrics import (
+    EvalReport,
+    MetricSlice,
     evaluate_run,
     load_run,
     mrr_at_k,
     neg_recall_at_k,
     render_report,
-    report_from_json,
     save_run,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def report_from_json(text):
+    """Inverse of render_report(..., fmt="json")."""
+    payload = json.loads(text)
+
+    def parse_slice(raw):
+        return MetricSlice(
+            n_questions=raw["n_questions"],
+            n_with_negatives=raw["n_with_negatives"],
+            mrr=raw["mrr"],
+            neg_recall=raw["neg_recall"],
+        )
+
+    return EvalReport(
+        k=payload["k"],
+        overall=parse_slice(payload["overall"]),
+        per_type={
+            QuestionType.parse(name): parse_slice(raw)
+            for name, raw in payload["per_type"].items()
+        },
+        missing_questions=tuple(payload["missing_questions"]),
+    )
 
 
 def ranked(*ids):

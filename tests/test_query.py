@@ -10,7 +10,7 @@ from boolsearch.chat import ChatClient, request_hash
 from boolsearch.data import Corpus, Passage
 from boolsearch.embed import EmbedderSpec
 from boolsearch.errors import BoolSearchError, DecompositionError, QuerySyntaxError
-from boolsearch.index import RankedList, build_index, top_k
+from boolsearch.index import RankedList, ScoredDoc, build_index, top_k
 from boolsearch.query import (
     And,
     Atom,
@@ -26,6 +26,7 @@ from boolsearch.query import (
     merge_or,
     parse_boolean_query,
     render,
+    _min_max_normalize,
     retrieve_atom,
     whole_query_retrieve,
 )
@@ -245,6 +246,19 @@ class TestEvaluateExpr:
         scaled = evaluate_expr(index, expr, MergePolicy(final_k=6, normalize=True))
         assert plain.doc_ids() == scaled.doc_ids()
         assert max(item.score for item in scaled) == pytest.approx(1.0)
+
+    def test_normalize_orders_scores_that_round_together_by_id(self):
+        # c > b before scaling; both scale to the same float, so b goes first
+        ranked = RankedList([
+            ScoredDoc("a", 74.04306419997323),
+            ScoredDoc("c", 40.73831917454259),
+            ScoredDoc("b", 40.73831917454258),
+            ScoredDoc("z", 1.066357757671799),
+        ])
+        scaled = _min_max_normalize(ranked)
+        assert scaled.doc_ids() == ("a", "b", "c", "z")
+        assert scaled.scores()["b"] == scaled.scores()["c"]
+        assert (scaled.scores()["a"], scaled.scores()["z"]) == (1.0, 0.0)
 
     def test_whole_query_delegates_to_top_k(self):
         index = planted_six_doc_index()
