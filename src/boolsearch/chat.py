@@ -15,6 +15,7 @@ import os
 import threading
 from pathlib import Path
 
+from .data import read_lines
 from .errors import ChatError
 from .remote import post_json
 
@@ -86,19 +87,18 @@ class ChatClient:
         cassette = {}
         if not self.cassette_path.exists():
             return cassette
-        with open(self.cassette_path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                where = f"{self.cassette_path}:{lineno}"
-                try:
-                    record = json.loads(line)
-                    key, response = record["request_hash"], record["response"]
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ChatError(f"{where}: malformed cassette line: {exc!r}") from None
-                if not isinstance(key, str) or not isinstance(response, str):
-                    raise ChatError(f"{where}: request_hash and response must be strings")
-                cassette[key] = response
+        for lineno, line in read_lines(self.cassette_path, ChatError):
+            if not line.strip():
+                continue
+            where = f"{self.cassette_path}:{lineno}"
+            try:
+                record = json.loads(line)
+                key, response = record["request_hash"], record["response"]
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                raise ChatError(f"{where}: malformed cassette line: {exc!r}") from None
+            if not isinstance(key, str) or not isinstance(response, str):
+                raise ChatError(f"{where}: request_hash and response must be strings")
+            cassette[key] = response
         return cassette
 
     def _post(self, messages: list[dict]) -> str:

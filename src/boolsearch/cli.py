@@ -14,7 +14,14 @@ import sys
 from pathlib import Path
 
 from . import generate, metrics, query
-from .data import compute_stats, load_corpus, load_judgments, render_stats, save_judgments
+from .data import (
+    compute_stats,
+    load_corpus,
+    load_judgments,
+    read_lines,
+    render_stats,
+    save_judgments,
+)
 from .embed import EmbedderSpec
 from .errors import BoolSearchError
 from .index import build_index, load_index, save_index
@@ -35,12 +42,12 @@ class _Parser(argparse.ArgumentParser):
 def load_config(path: str | Path) -> dict[str, str]:
     """Parse a flat key=value config file; '#' starts a comment line."""
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in read_lines(path, BoolSearchError):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise BoolSearchError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise BoolSearchError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         values[key.strip()] = value.strip()
     return values
@@ -193,21 +200,22 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
 
-    config = AppConfig(args)
-    level = args.log_level or config.file_values.get("log_level") or "WARNING"
-    logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING),
-                        stream=sys.stderr)
     try:
+        config = AppConfig(args)
+        level = args.log_level or config.file_values.get("log_level") or "WARNING"
+        logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING),
+                            stream=sys.stderr)
         handler = _HANDLERS[args.command]
         result = handler(args, config)
         if args.verbose:
             config.dump(sys.stderr)
         return result
-    except BoolSearchError as exc:
+    except (BoolSearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a bug, not bad input: the traceback only at DEBUG
+        logger.debug("unhandled exception", exc_info=True)
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from .errors import CorpusFormatError, JudgmentFormatError
+from .errors import BoolSearchError, CorpusFormatError, JudgmentFormatError
 
 
 class QuestionType(str, Enum):
@@ -147,6 +147,32 @@ class DatasetStats:
             raise ValueError("per-type counts do not sum to overall count")
 
 
+def read_lines(
+    path: str | Path, error: type[BoolSearchError]
+) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, line) of a UTF-8 text file.
+
+    Bytes that are not UTF-8 raise `error` naming path:line.
+    """
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield from enumerate(f, start=1)
+        except UnicodeDecodeError as exc:
+            # the decoder works in blocks; a second, binary read finds the line
+            with open(path, "rb") as raw:
+                lines = raw.read().splitlines()
+            lineno = next(n for n, line in enumerate(lines, start=1) if not _is_utf8(line))
+            raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+
+
+def _is_utf8(line: bytes) -> bool:
+    try:
+        line.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus file: JSONL objects or 2-column TSV, one per line.
 
@@ -155,21 +181,18 @@ def load_corpus(path: str | Path) -> Corpus:
     """
     passages = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                passage = _parse_corpus_line(line)
-            except CorpusFormatError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
-            if passage.id in seen:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: duplicate passage id {passage.id!r}"
-                )
-            seen.add(passage.id)
-            passages.append(passage)
+    for lineno, line in read_lines(path, CorpusFormatError):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        try:
+            passage = _parse_corpus_line(line)
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
+        if passage.id in seen:
+            raise CorpusFormatError(f"{path}:{lineno}: duplicate passage id {passage.id!r}")
+        seen.add(passage.id)
+        passages.append(passage)
     return Corpus(passages)
 
 
@@ -177,7 +200,7 @@ def _parse_corpus_line(line: str) -> Passage:
     if line.lstrip().startswith("{"):
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise CorpusFormatError(f"invalid JSON: {exc}") from None
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise CorpusFormatError('JSON record must have "id" and "text"')
@@ -226,36 +249,40 @@ def load_judgments(path: str | Path, corpus: Corpus | None = None) -> list[Judgm
     When a corpus is supplied, every labeled passage id must exist in it.
     """
     judgments = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise JudgmentFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            try:
-                judgment = judgment_from_record(record)
-            except JudgmentFormatError as exc:
-                raise JudgmentFormatError(f"{path}:{lineno}: {exc}") from None
-            if corpus is not None:
-                unknown = [
-                    pid for pid in judgment.positives | judgment.negatives
-                    if pid not in corpus
-                ]
-                if unknown:
-                    raise JudgmentFormatError(
-                        f"{path}:{lineno}: question {judgment.question_id!r} "
-                        f"references unknown passage ids {sorted(unknown)}"
-                    )
-            judgments.append(judgment)
+    for lineno, line in read_lines(path, JudgmentFormatError):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            raise JudgmentFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        try:
+            judgment = judgment_from_record(record)
+        except JudgmentFormatError as exc:
+            raise JudgmentFormatError(f"{path}:{lineno}: {exc}") from None
+        if corpus is not None:
+            unknown = [
+                pid for pid in judgment.positives | judgment.negatives
+                if pid not in corpus
+            ]
+            if unknown:
+                raise JudgmentFormatError(
+                    f"{path}:{lineno}: question {judgment.question_id!r} "
+                    f"references unknown passage ids {sorted(unknown)}"
+                )
+        judgments.append(judgment)
     return judgments
 
 
 def judgment_from_record(record: Mapping) -> Judgment:
+    if not isinstance(record, Mapping):
+        raise JudgmentFormatError(f"record must be an object, got {type(record).__name__}")
     missing = [k for k in _JUDGMENT_FIELDS if k not in record]
     if missing:
         raise JudgmentFormatError(f"record is missing fields {missing}")
+    for key in ("positives", "negatives"):
+        if not isinstance(record[key], list):
+            raise JudgmentFormatError(f"{key} must be a list of passage ids")
     return Judgment(
         question_id=str(record["question_id"]),
         question=str(record["question"]),

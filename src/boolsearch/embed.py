@@ -13,6 +13,7 @@ import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -59,12 +60,6 @@ def tokenize(text: str) -> list[str]:
     return TOKEN_RE.findall(text.lower())
 
 
-def _token_hash(token: str, seed: int) -> int:
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little")
-
-
 def hashed_bow_embed(text: str, dim: int, seed: int = 0) -> Embedding:
     """Signed hashed bag-of-words vector, unnormalized.
 
@@ -73,15 +68,42 @@ def hashed_bow_embed(text: str, dim: int, seed: int = 0) -> Embedding:
     two choices stay decorrelated. Tokens accumulate, so the raw vector
     is additive over text concatenation and order-invariant.
     """
+    return _hashed_bow_rows([text], dim, seed)[0]
+
+
+def _hashed_bow_rows(texts: list[str], dim: int, seed: int) -> np.ndarray:
+    """hashed_bow_embed of every text, one row each.
+
+    Each distinct token of the call is hashed once; nothing is kept
+    across calls. The ±1.0 signs sum to small integers, exact in any
+    order, so one bincount can add up many texts at once.
+    """
     if dim < 8:
         raise EmbeddingError(f"embedder dim must be >= 8, got {dim}")
-    vec = np.zeros(dim, dtype=np.float64)
-    for token in tokenize(text):
-        h = _token_hash(token, seed)
-        bucket = h % dim
-        sign = 1.0 if (h >> 63) & 1 else -1.0
-        vec[bucket] += sign
-    return vec
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    keyed = hashlib.blake2b(digest_size=8, key=key)
+    n = len(texts)
+    token_lists = [tokenize(text) for text in texts]
+    tokens = token_lists[0] if n == 1 else list(chain.from_iterable(token_lists))
+    buckets = dict.fromkeys(tokens)
+    signs = {}
+    for token in buckets:
+        h = keyed.copy()
+        h.update(token.encode("utf-8"))
+        value = int.from_bytes(h.digest(), "little")
+        buckets[token] = value % dim
+        signs[token] = 1.0 if value >> 63 else -1.0
+    if n == 1:  # a query: adding in place beats numpy's per-call cost
+        rows = np.zeros((1, dim))
+        row = rows[0]
+        for token in tokens:
+            row[buckets[token]] += signs[token]
+        return rows
+    flat = np.fromiter(map(buckets.__getitem__, tokens), np.intp, len(tokens))
+    weights = np.fromiter(map(signs.__getitem__, tokens), np.float64, len(tokens))
+    flat += np.repeat(np.arange(0, n * dim, dim), [len(t) for t in token_lists])
+    rows = np.bincount(flat, weights=weights, minlength=n * dim).reshape(n, dim)
+    return rows.astype(np.float64, copy=False)  # bincount gives int64 without tokens
 
 
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -94,7 +116,7 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
 def embed_texts(spec: EmbedderSpec, texts: list[str]) -> list[Embedding]:
     """Embed texts in order; every output vector has dimension spec.dim."""
     if spec.kind == "hashed-bow":
-        vectors = [hashed_bow_embed(t, spec.dim, spec.seed) for t in texts]
+        vectors = list(_hashed_bow_rows(texts, spec.dim, spec.seed))
     else:
         vectors = _remote_embed(spec, texts)
     if spec.normalize:

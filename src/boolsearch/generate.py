@@ -31,6 +31,7 @@ from .data import (
     QuestionType,
     atomic_write,
     compute_stats,
+    read_lines,
 )
 from .embed import EmbedderSpec, embed_texts, tokenize
 from .errors import ChatError, GenerationError
@@ -894,31 +895,30 @@ def save_questions(
 
 def load_questions(path: str | Path) -> list[GeneratedQuestion]:
     questions = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                questions.append(
-                    GeneratedQuestion(
-                        question_id=raw["question_id"],
-                        qtype=QuestionType.parse(raw["qtype"]),
-                        text=raw["text"],
-                        source_cluster=int(raw["source_cluster"]),
-                        candidate_ids=tuple(raw["candidate_ids"]),
-                        positives=frozenset(raw["positives"]),
-                        negatives=frozenset(raw["negatives"]),
-                        provenance=raw["provenance"],
-                        filtered=bool(raw["filtered"]),
-                        expression=raw.get("expression"),
-                        answer_token_groups=tuple(
-                            tuple(g) for g in raw.get("answer_token_groups", [])
-                        ),
-                    )
+    for lineno, line in read_lines(path, GenerationError):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+            questions.append(
+                GeneratedQuestion(
+                    question_id=raw["question_id"],
+                    qtype=QuestionType.parse(raw["qtype"]),
+                    text=raw["text"],
+                    source_cluster=int(raw["source_cluster"]),
+                    candidate_ids=tuple(raw["candidate_ids"]),
+                    positives=frozenset(raw["positives"]),
+                    negatives=frozenset(raw["negatives"]),
+                    provenance=raw["provenance"],
+                    filtered=bool(raw["filtered"]),
+                    expression=raw.get("expression"),
+                    answer_token_groups=tuple(
+                        tuple(g) for g in raw.get("answer_token_groups", [])
+                    ),
                 )
-            except (ValueError, KeyError, TypeError) as exc:
-                raise GenerationError(f"{path}:{lineno}: {exc}") from None
+            )
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise GenerationError(f"{path}:{lineno}: {exc}") from None
     return questions
 
 
@@ -938,5 +938,5 @@ def load_clusters(path: str | Path) -> list[Cluster]:
             Cluster(cluster_id=raw["cluster_id"], passage_ids=tuple(raw["passage_ids"]))
             for raw in payload
         ]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise GenerationError(f"{path}: malformed clusters file: {exc!r}") from None

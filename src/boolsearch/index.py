@@ -333,7 +333,7 @@ def load_index(path: str | Path, expected_spec: EmbedderSpec | None = None) -> I
                 f"expected {expected_bytes} (truncated or trailing data)"
             )
         matrix = np.frombuffer(data, dtype="<f4", offset=offset).reshape(count, dim).copy()
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (struct.error, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise IndexFormatError(f"{path}: corrupt index file: {exc}") from None
     warnings: tuple[str, ...] = ()
     if expected_spec is not None and expected_spec.fingerprint() != fingerprint:

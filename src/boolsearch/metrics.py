@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import AbstractSet, Mapping, Sequence
 
-from .data import Judgment, QuestionType, atomic_write
+from .data import Judgment, QuestionType, atomic_write, read_lines
 from .errors import BoolSearchError, RunFormatError
 from .index import RankedList, ScoredDoc
 
@@ -201,22 +201,23 @@ def load_run(path: str | Path) -> dict[str, RankedList]:
     ascending id) are enforced on every line.
     """
     run: dict[str, RankedList] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                question_id = record["question_id"]
-                ranked = RankedList(
-                    ScoredDoc(str(item["doc_id"]), float(item["score"]))
-                    for item in record["items"]
-                )
-            except (ValueError, KeyError, TypeError, BoolSearchError) as exc:
-                raise RunFormatError(f"{path}:{lineno}: {exc}") from None
-            if question_id in run:
-                raise RunFormatError(
-                    f"{path}:{lineno}: duplicate question id {question_id!r}"
-                )
-            run[question_id] = ranked
+    for lineno, line in read_lines(path, RunFormatError):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            question_id = record["question_id"]
+            if not isinstance(question_id, str):
+                raise RunFormatError("question_id must be a string")
+            ranked = RankedList(
+                ScoredDoc(str(item["doc_id"]), float(item["score"]))
+                for item in record["items"]
+            )
+        except (ValueError, KeyError, TypeError, RecursionError, BoolSearchError) as exc:
+            raise RunFormatError(f"{path}:{lineno}: {exc}") from None
+        if question_id in run:
+            raise RunFormatError(
+                f"{path}:{lineno}: duplicate question id {question_id!r}"
+            )
+        run[question_id] = ranked
     return run

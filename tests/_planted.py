@@ -8,12 +8,14 @@ construction.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from typing import Sequence
 
 import numpy as np
 
 from boolsearch.data import Corpus, Passage
+from boolsearch.embed import tokenize
 from boolsearch.errors import GenerationError
 from boolsearch.generate import Cluster, cosine_distances
 from boolsearch.index import Index, embed_query
@@ -53,6 +55,18 @@ def random_corpus(rng: np.random.Generator, n_docs: int, vocab: int = 40) -> Cor
 def random_query(rng: np.random.Generator, vocab: int = 40) -> str:
     words = [f"w{v}" for v in range(vocab)]
     return " ".join(rng.choice(words, size=int(rng.integers(1, 5))))
+
+
+def oracle_hashed_bow_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
+    """One fresh keyed blake2b per token occurrence, added into the vector
+    one token at a time: hashed_bow_embed before the per-call memo."""
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in tokenize(text):
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
+        h = int.from_bytes(digest, "little")
+        vec[h % dim] += 1.0 if (h >> 63) & 1 else -1.0
+    return vec
 
 
 def oracle_top_k(index: Index, query_text: str, k: int):

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from boolsearch import generate
+from boolsearch import cli, generate
 from boolsearch.cli import dispatch, load_config
 from boolsearch.data import load_judgments, save_corpus
 from boolsearch.errors import BoolSearchError
@@ -254,6 +257,56 @@ class TestGenCommands:
                     "--clusters", str(clusters), "--out", str(out),
                     "--mode", "template", "--seed", "5", "--per-type", "2")
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("command", [
+        ("index", "build", "--corpus", "{bad}", "--out", "{tmp}/c.idx"),
+        ("stats", "--judgments", "{bad}"),
+        ("eval", "--run", "{bad}", "--judgments", "{bad}"),
+        ("--config", "{bad}", "stats", "--judgments", "{bad}"),
+    ])
+    def test_file_that_is_not_utf8(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe{}\n")
+        argv = [a.format(bad=bad, tmp=tmp_path) for a in command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {bad}:1: not UTF-8 text (invalid start byte)\n"
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "--config", str(tmp_path / "absent.cfg"),
+                                 "stats", "--judgments", str(tmp_path / "j.jsonl"))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "absent.cfg" in err
+
+    def test_unexpected_exception_is_one_line(self, capsys, monkeypatch):
+        def broken(args, config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "stats", broken)
+        code, out, err = run_cli(capsys, "stats", "--judgments", "j.jsonl")
+        assert code == 2
+        assert err == "error: unexpected RuntimeError: boom\n"
+
+    @pytest.mark.parametrize("level", ["DEBUG", "INFO"])
+    def test_traceback_only_at_debug(self, level):
+        # a fresh process, so the root logger is not pytest's
+        script = (
+            "import sys; from boolsearch import cli\n"
+            "def broken(args, config): raise RuntimeError('boom')\n"
+            "cli._HANDLERS['stats'] = broken\n"
+            "sys.exit(cli.dispatch(sys.argv[1:]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "--log-level", level, "stats", "--judgments", "j"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr.splitlines()[-1] == "error: unexpected RuntimeError: boom"
+        assert ("Traceback" in done.stderr) == (level == "DEBUG")
 
 
 class TestConfigFile:

@@ -16,10 +16,25 @@ from boolsearch.data import (
     save_corpus,
     save_judgments,
 )
-from boolsearch.errors import CorpusFormatError, JudgmentFormatError
-from boolsearch.generate import Cluster, GeneratedQuestion, save_clusters, save_questions
+from boolsearch.chat import ChatClient
+from boolsearch.cli import load_config
+from boolsearch.errors import (
+    BoolSearchError,
+    ChatError,
+    CorpusFormatError,
+    GenerationError,
+    JudgmentFormatError,
+    RunFormatError,
+)
+from boolsearch.generate import (
+    Cluster,
+    GeneratedQuestion,
+    load_questions,
+    save_clusters,
+    save_questions,
+)
 from boolsearch.index import RankedList, ScoredDoc
-from boolsearch.metrics import save_run
+from boolsearch.metrics import load_run, save_run
 
 from _planted import marco_replica_judgments
 
@@ -280,3 +295,38 @@ class TestRenderStats:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render_stats(compute_stats([]), fmt="yaml")
+
+
+def _replay_client(path):
+    return ChatClient(model="m", mode="replay", cassette_path=path)
+
+
+class TestNonUtf8Input:
+    """A line that is not UTF-8 raises the loader's own error naming
+    path:line, wherever the decoder's block boundary falls."""
+
+    LOADERS = [
+        (load_corpus, CorpusFormatError),
+        (load_judgments, JudgmentFormatError),
+        (load_questions, GenerationError),
+        (load_run, RunFormatError),
+        (_replay_client, ChatError),
+        (load_config, BoolSearchError),
+    ]
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("blank_lines", [0, 3, 20_000])
+    @pytest.mark.parametrize("loader,error", LOADERS)
+    def test_names_the_line(self, tmp_path, loader, error, blank_lines, newline):
+        # every loader skips blank lines, so the bad line is the first record
+        path = tmp_path / "input.jsonl"
+        path.write_bytes(newline * blank_lines + b"\xff\xfe{}" + newline + b"x" + newline)
+        with pytest.raises(error, match=f"{path}:{blank_lines + 1}: not UTF-8") as info:
+            loader(path)
+        assert type(info.value) is error
+
+    def test_truncated_sequence_at_end_of_file(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes("p1\tcaf\u00e9\np2\tcaf".encode() + b"\xc3")
+        with pytest.raises(CorpusFormatError, match=f"{path}:2: not UTF-8"):
+            load_corpus(path)

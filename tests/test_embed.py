@@ -2,10 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolsearch import embed
+from boolsearch.data import Corpus, Passage
 from boolsearch.embed import (
     EmbedderSpec,
     TOKEN_ENV_VAR,
@@ -14,7 +15,9 @@ from boolsearch.embed import (
     tokenize,
 )
 from boolsearch.errors import EmbeddingError, EmbeddingServiceError
+from boolsearch.index import build_index
 
+from _planted import oracle_hashed_bow_embed
 from _server import ScriptedServer
 
 
@@ -94,6 +97,82 @@ class TestHashedBow:
 
     def test_tokenize(self):
         assert tokenize("Al-pha, beta9 GAMMA??") == ["al", "pha", "beta9", "gamma"]
+
+
+# arbitrary Unicode; a small mixed-case alphabet that repeats tokens (with
+# characters that lowercase to ASCII: U+0130 and the Kelvin sign U+212A);
+# empty and punctuation-only texts
+TEXTS = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="aAbBkK09 \t.,!?-\u00e9\u0130\u212a", max_size=40),
+    st.sampled_from(["", "?!...", "--- ,,,", "Cat cat CAT", "a a a a"]),
+)
+DIMS = st.sampled_from([8, 13, 256, 1000])
+SEEDS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, 1, -1, -(2**63), 2**63, 2**64 - 1, 2**64, 2**64 + 7]),
+)
+
+
+def oracle_embed_texts(spec: EmbedderSpec, texts: list[str]) -> list[np.ndarray]:
+    vectors = [oracle_hashed_bow_embed(t, spec.dim, spec.seed) for t in texts]
+    if spec.normalize:
+        vectors = [v / np.linalg.norm(v) if v.any() else v for v in vectors]
+    return vectors
+
+
+def assert_same_bytes(got, want, dim):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64 and g.shape == (dim,)
+        assert g.tobytes() == w.tobytes()
+
+
+class TestHashedBowMatchesOracle:
+    """The per-call memo and batched accumulation against one fresh hash
+    per token occurrence, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TEXTS, max_size=12), DIMS, SEEDS, st.booleans())
+    def test_embed_texts(self, texts, dim, seed, normalize):
+        spec = EmbedderSpec(dim=dim, normalize=normalize, seed=seed)
+        assert_same_bytes(embed_texts(spec, texts), oracle_embed_texts(spec, texts), dim)
+
+    @settings(max_examples=200, deadline=None)
+    @given(TEXTS, DIMS, SEEDS)
+    def test_hashed_bow_embed(self, text, dim, seed):
+        got = hashed_bow_embed(text, dim, seed)
+        assert_same_bytes([got], [oracle_hashed_bow_embed(text, dim, seed)], dim)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(TEXTS, min_size=1, max_size=6),
+        DIMS,
+        st.lists(SEEDS, min_size=2, max_size=4, unique_by=lambda s: s % 2**64),
+    )
+    @example(["alpha beta", "beta gamma"], 256, [1, 2])
+    def test_back_to_back_calls_with_other_seeds(self, texts, dim, seeds):
+        # a memo that outlived its call would hand the next seed stale buckets
+        for seed in seeds:
+            spec = EmbedderSpec(dim=dim, normalize=False, seed=seed)
+            assert_same_bytes(embed_texts(spec, texts), oracle_embed_texts(spec, texts), dim)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("similarity", ["dot", "cosine"])
+    def test_build_index_matrix(self, similarity, normalize):
+        # 2,500 passages span three build chunks, the last one partial
+        rng = np.random.default_rng(17)
+        words = ["Alpha", "beta", "GAMMA", "d3lta", "\u00e9t\u00e9", "x", "?!", "k\u212a"]
+        corpus = Corpus(
+            Passage(f"p{i:05d}", " ".join(rng.choice(words, size=int(rng.integers(1, 30)))))
+            for i in range(2500)
+        )
+        spec = EmbedderSpec(dim=64, normalize=normalize, seed=-3)
+        expected = np.vstack(oracle_embed_texts(spec, list(corpus.texts)))
+        if similarity == "cosine":
+            expected = embed.normalize_rows(expected)
+        matrix = build_index(corpus, spec, similarity).matrix
+        assert matrix.tobytes() == expected.astype(np.float32).tobytes()
 
 
 def _echo_embedder(dim):

@@ -1,0 +1,114 @@
+"""Fuzz targets: loaders and the query parser on arbitrary input.
+
+Whatever the bytes or text, the only exceptions that may escape are
+BoolSearchError subclasses, which the CLI turns into exit code 2.
+"""
+
+import json
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from boolsearch.data import load_corpus, load_judgments
+from boolsearch.errors import BoolSearchError
+from boolsearch.metrics import load_run
+from boolsearch.query import parse_boolean_query
+
+FUZZ = settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def records(*fields):
+    """JSON lines holding the loader's fields with values of any JSON type."""
+    return st.fixed_dictionaries({}, optional={f: JSON_VALUES for f in fields}).map(json.dumps)
+
+
+def lines(record_lines):
+    """A file of arbitrary bytes, arbitrary text, or near-valid JSON lines."""
+    any_line = st.one_of(record_lines, JSON_VALUES.map(json.dumps), st.text(max_size=40))
+    text_lines = st.lists(any_line, max_size=6)
+    return st.one_of(
+        st.binary(max_size=300),
+        text_lines.map(lambda ls: "\n".join(ls).encode("utf-8")),
+    )
+
+
+CORPUS_RECORDS = st.one_of(
+    records("id", "text"),
+    st.tuples(st.text(max_size=8), st.text(max_size=8)).map("\t".join),
+)
+JUDGMENT_RECORDS = st.one_of(
+    records("question_id", "question", "qtype", "positives", "negatives"),
+    st.fixed_dictionaries({
+        "question_id": st.text(max_size=4),
+        "question": st.text(max_size=8),
+        "qtype": st.sampled_from(["AND", "OR", "NOT", "and", "XOR"]),
+        "positives": st.lists(JSON_VALUES, max_size=3),
+        "negatives": st.lists(JSON_VALUES, max_size=3),
+    }).map(json.dumps),
+)
+RUN_RECORDS = st.one_of(
+    records("question_id", "items"),
+    st.fixed_dictionaries({
+        "question_id": JSON_VALUES,
+        "items": st.lists(
+            st.fixed_dictionaries({"doc_id": JSON_VALUES, "score": JSON_VALUES}), max_size=3
+        ),
+    }).map(json.dumps),
+)
+
+
+def only_typed_errors(load, path, blob):
+    path.write_bytes(blob)
+    try:
+        load(path)
+    except BoolSearchError:
+        pass
+
+
+DEEP = b"[" * 100_000  # json.loads raises RecursionError, not JSONDecodeError
+
+
+@FUZZ
+@given(blob=lines(CORPUS_RECORDS))
+@example(blob=b'{"id": ' + DEEP)
+def test_load_corpus(tmp_path, blob):
+    only_typed_errors(load_corpus, tmp_path / "corpus.jsonl", blob)
+
+
+@FUZZ
+@given(blob=lines(JUDGMENT_RECORDS))
+@example(blob=DEEP)
+@example(blob=b"null")
+def test_load_judgments(tmp_path, blob):
+    only_typed_errors(load_judgments, tmp_path / "judgments.jsonl", blob)
+
+
+@FUZZ
+@given(blob=lines(RUN_RECORDS))
+@example(blob=DEEP)
+@example(blob=b'{"question_id": [], "items": []}')
+def test_load_run(tmp_path, blob):
+    only_typed_errors(load_run, tmp_path / "run.jsonl", blob)
+
+
+QUERY_PIECES = st.sampled_from(['"', "(", ")", " AND ", " OR ", " NOT ", "AND", "x", " ", "\\"])
+
+
+@FUZZ
+@given(text=st.one_of(st.text(), st.lists(QUERY_PIECES, max_size=12).map("".join)))
+def test_parse_boolean_query(text):
+    try:
+        parse_boolean_query(text)
+    except BoolSearchError:
+        pass

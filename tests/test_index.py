@@ -316,6 +316,19 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match="embedder"):
             load_index(path)
 
+    def test_spec_json_nested_too_deep_rejected(self, tmp_path):
+        path = tmp_path / "x.idx"
+        save_index(build_index(small_corpus(), SPEC, "dot"), path)
+        blob = path.read_bytes()
+        (length,) = struct.unpack_from("<I", blob, SPEC_JSON_AT)
+        start = SPEC_JSON_AT + 4
+        deep = b"[" * 100_000  # json.loads raises RecursionError
+        path.write_bytes(
+            blob[:SPEC_JSON_AT] + struct.pack("<I", len(deep)) + deep + blob[start + length :]
+        )
+        with pytest.raises(IndexFormatError):
+            load_index(path)
+
     def test_spec_disagreeing_with_stored_fingerprint_rejected(self, tmp_path):
         path = tmp_path / "x.idx"
         save_index(build_index(small_corpus(), SPEC, "dot"), path)
