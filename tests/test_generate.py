@@ -445,38 +445,43 @@ class TestCyclicFilterChat:
         assert any("excluding question" in r.message for r in caplog.records)
 
 
+QUESTIONER = "test-questioner"
+
+
+def questioner_spec(tmp_path, responses):
+    """A replaying chat spec whose cassette answers each exact user prompt."""
+    cassette = tmp_path / "questioner.jsonl"
+    with open(cassette, "w") as f:
+        for user, response in responses.items():
+            messages = [
+                {"role": "system", "content": DEFAULT_PROMPTS.questioner_system},
+                {"role": "user", "content": user},
+            ]
+            key = request_hash(QUESTIONER, messages)
+            f.write(json.dumps({"request_hash": key, "response": response}) + "\n")
+    return GeneratorSpec(
+        mode="chat", chat_model=QUESTIONER, chat_mode="replay",
+        cassette_path=str(cassette), seed=0, n_per_type=1,
+    )
+
+
 class TestChatGeneration:
+    # the composite generators take template atomics, whose answer token
+    # groups chat mode must drop
+    DISJ = "What does the passage about stripes zebra or crystal quartz or maple syrup say?"
+
     def test_atomic_generation_replays_cassette(self, tmp_path):
         candidates = two_candidates()
         prompts = DEFAULT_PROMPTS
-        entries = {}
-
-        def record(user, response):
-            messages = [
-                {"role": "system", "content": prompts.questioner_system},
-                {"role": "user", "content": user},
-            ]
-            entries[request_hash("test-questioner", messages)] = response
-
-        record(prompts.simple.format(paragraph=candidates[0].text),
-               "What animal has stripes?")
-        record(prompts.simple.format(paragraph=candidates[1].text),
-               "What mineral forms crystals?")
-        record(
+        spec = questioner_spec(tmp_path, {
+            prompts.simple.format(paragraph=candidates[0].text):
+                "What animal has stripes?",
+            prompts.simple.format(paragraph=candidates[1].text):
+                "What mineral forms crystals?",
             prompts.disjunctive.format(
                 paragraphs=candidates[0].text + "\n\n" + candidates[1].text
-            ),
-            "What natural things are described?",
-        )
-        cassette = tmp_path / "questioner.jsonl"
-        with open(cassette, "w") as f:
-            for key, response in entries.items():
-                f.write(json.dumps({"request_hash": key, "response": response}) + "\n")
-
-        spec = GeneratorSpec(
-            mode="chat", chat_model="test-questioner", chat_mode="replay",
-            cassette_path=str(cassette), seed=0, n_per_type=1,
-        )
+            ): "What natural things are described?",
+        })
         simples, disj = gen_atomic(candidates, spec, client=spec.make_client())
         assert [s.text for s in simples] == [
             "What animal has stripes?",
@@ -484,6 +489,78 @@ class TestChatGeneration:
         ]
         assert disj.text == "What natural things are described?"
         assert disj.provenance == "chat-model"
+
+    def test_and_generation_replays_cassette(self, tmp_path):
+        candidates = three_candidates()
+        _, disj = gen_atomic(candidates, TEMPLATE_SPEC)
+        spec = questioner_spec(tmp_path, {
+            DEFAULT_PROMPTS.and_converter.format(
+                question=self.DISJ,
+                positive_paragraphs="[positive] maple syrup maple syrup forest",
+                negative_paragraphs=(
+                    "[negative] zebra stripes zebra stripes savanna\n\n"
+                    "[negative] quartz crystal quartz crystal cave"
+                ),
+            ): "Which passage covers syrup from the forest?",
+        })
+        q = gen_and(disj, candidates, spec, rng=np.random.default_rng(0),
+                    client=spec.make_client())
+        assert q.text == "Which passage covers syrup from the forest?"
+        assert q.provenance == "chat-model"
+        assert q.answer_token_groups == ()
+        assert q.positives == {"pc"} and q.negatives == {"pa", "pb"}
+        assert q.expression == f'"{self.DISJ}" AND "What is specific to maple syrup?"'
+
+    def test_or_generation_replays_cassette(self, tmp_path):
+        candidates = three_candidates()
+        simples, _ = gen_atomic(candidates, TEMPLATE_SPEC)
+        expression = (
+            '"What does the passage about stripes zebra say?" OR '
+            '"What does the passage about crystal quartz say?"'
+        )
+        spec = questioner_spec(tmp_path, {
+            DEFAULT_PROMPTS.or_converter.format(expression=expression):
+                "What do zebras or quartz look like?",
+        })
+        q = gen_or(simples, candidates, spec, rng=np.random.default_rng(1),
+                   client=spec.make_client())
+        assert q.text == "What do zebras or quartz look like?"
+        assert q.provenance == "chat-model"
+        assert q.answer_token_groups == ()
+        assert q.positives == {"pa", "pb"} and q.negatives == {"pc"}
+        assert q.expression == expression
+
+    def test_not_generation_replays_cassette(self, tmp_path):
+        candidates = three_candidates()
+        simples, disj = gen_atomic(candidates, TEMPLATE_SPEC)
+        expression = f'"{self.DISJ}" NOT "What does the passage about maple syrup say?"'
+        spec = questioner_spec(tmp_path, {
+            DEFAULT_PROMPTS.not_converter.format(expression=expression):
+                "Which natural things are described, leaving out syrup?",
+        })
+        q = gen_not(disj, simples, candidates, spec, rng=np.random.default_rng(2),
+                    client=spec.make_client())
+        assert q.text == "Which natural things are described, leaving out syrup?"
+        assert q.provenance == "chat-model"
+        assert q.answer_token_groups == ()
+        assert q.positives == {"pa", "pb"} and q.negatives == {"pc"}
+        assert q.expression == expression
+
+    @pytest.mark.parametrize("step", ["atomic", "and", "or", "not", "filter"])
+    def test_missing_client_is_an_error(self, step):
+        candidates = three_candidates()
+        simples, disj = gen_atomic(candidates, TEMPLATE_SPEC)
+        spec = GeneratorSpec(mode="chat", chat_model="m")
+        rng = np.random.default_rng(0)
+        calls = {
+            "atomic": lambda: gen_atomic(candidates, spec),
+            "and": lambda: gen_and(disj, candidates, spec, rng=rng),
+            "or": lambda: gen_or(simples, candidates, spec, rng=rng),
+            "not": lambda: gen_not(disj, simples, candidates, spec, rng=rng),
+            "filter": lambda: cyclic_filter(disj, Corpus(candidates), spec),
+        }
+        with pytest.raises(GenerationError, match="chat mode requires a chat client"):
+            calls[step]()
 
 
 class TestPipeline:
