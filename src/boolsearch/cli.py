@@ -200,11 +200,14 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
 
+    package_logger = logging.getLogger("boolsearch")
+    previous_level = package_logger.level
     try:
         config = AppConfig(args)
         level = args.log_level or config.file_values.get("log_level") or "WARNING"
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING),
-                            stream=sys.stderr)
+        # basicConfig(level=) is a no-op once the root logger has a handler
+        logging.basicConfig(stream=sys.stderr)
+        package_logger.setLevel(getattr(logging, level.upper(), logging.WARNING))
         handler = _HANDLERS[args.command]
         result = handler(args, config)
         if args.verbose:
@@ -217,6 +220,8 @@ def dispatch(argv: list[str]) -> int:
         logger.debug("unhandled exception", exc_info=True)
         print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        package_logger.setLevel(previous_level)
 
 
 def _cmd_index(args, config: AppConfig) -> int:
@@ -317,9 +322,10 @@ def _cmd_gen(args, config: AppConfig) -> int:
     corpus = load_corpus(args.corpus)
     questions = generate.load_questions(args.questions)
     judgments, stats = generate.assemble_dataset(questions, corpus)
+    # rendered first, so an unknown format fails before the file is written
+    rendered = render_stats(stats, config.get("format", "stats.format", "table"))
     save_judgments(judgments, args.out)
-    fmt = config.get("format", "stats.format", "table")
-    print(render_stats(stats, fmt))
+    print(rendered)
     return 0
 
 

@@ -355,7 +355,7 @@ def render_stats(stats: DatasetStats, fmt: str = "table") -> str:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
     if fmt != "table":
-        raise ValueError(f"unknown format {fmt!r}")
+        raise BoolSearchError(f"unknown stats format {fmt!r}")
     rows = [("slice", "questions", "avg pos", "avg neg")]
     rows.append(_stats_row("ALL", stats.overall))
     for qtype in QuestionType:

@@ -18,7 +18,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -138,7 +138,6 @@ class GeneratorSpec:
     chat_model: str = ""
     chat_mode: str = "live"
     cassette_path: str = ""
-    prompts: PromptSet = DEFAULT_PROMPTS
     seed: int = 0
     n_per_type: int = 10
     max_concurrent: int = 4
@@ -463,16 +462,26 @@ def distinctive_tokens(
     return tuple(ordered[:limit])
 
 
-def _topic_phrase(tokens: Iterable[str]) -> str:
-    return " ".join(tokens)
+def _chat_client(spec: GeneratorSpec, client: ChatClient | None) -> ChatClient | None:
+    """The one template/chat switch: the chat client, None in template mode."""
+    if spec.mode == "template":
+        return None
+    if client is None:
+        raise GenerationError("chat mode requires a chat client")
+    return client
 
 
-def _paragraph_block(passages: Sequence[Passage]) -> str:
-    return "\n\n".join(p.text for p in passages)
+def _question(chat: ChatClient | None, groups, **fields) -> GeneratedQuestion:
+    """A question with its backend's provenance; only template questions
+    keep their answer token groups, which the offline proxy needs."""
+    if chat is None:
+        return GeneratedQuestion(answer_token_groups=groups, **fields)
+    return GeneratedQuestion(provenance="chat-model", **fields)
 
 
-def _ask_questioner(client: ChatClient, prompts: PromptSet, user: str) -> str:
-    text = client.complete(prompts.questioner_system, user).strip()
+def _ask_questioner(client: ChatClient, template: str, **fields: str) -> str:
+    user = template.format(**fields)
+    text = client.complete(DEFAULT_PROMPTS.questioner_system, user).strip()
     if not text:
         raise GenerationError("chat model returned an empty question")
     return text
@@ -493,32 +502,23 @@ def gen_atomic(
     ids = tuple(p.id for p in candidates)
     topics = [distinctive_tokens(p, candidates) for p in candidates]
 
-    if spec.mode == "template":
-        simple_texts = [
-            f"What does the passage about {_topic_phrase(t)} say?" for t in topics
-        ]
-        disj_text = (
-            "What does the passage about "
-            + " or ".join(_topic_phrase(t) for t in topics)
-            + " say?"
-        )
-        provenance = "template"
+    chat = _chat_client(spec, client)
+    if chat is None:
+        phrases = [" ".join(t) for t in topics]
+        simple_texts = [f"What does the passage about {p} say?" for p in phrases]
+        disj_text = f"What does the passage about {' or '.join(phrases)} say?"
     else:
-        if client is None:
-            raise GenerationError("chat mode requires a chat client")
         simple_texts = [
-            _ask_questioner(client, spec.prompts, spec.prompts.simple.format(paragraph=p.text))
+            _ask_questioner(chat, DEFAULT_PROMPTS.simple, paragraph=p.text)
             for p in candidates
         ]
-        disj_text = _ask_questioner(
-            client,
-            spec.prompts,
-            spec.prompts.disjunctive.format(paragraphs=_paragraph_block(candidates)),
-        )
-        provenance = "chat-model"
+        block = "\n\n".join(p.text for p in candidates)
+        disj_text = _ask_questioner(chat, DEFAULT_PROMPTS.disjunctive, paragraphs=block)
 
     simples = [
-        GeneratedQuestion(
+        _question(
+            chat,
+            (topics[i],),
             question_id=f"{id_stem}-simple-{i}",
             qtype=QuestionType.SIMPLE,
             text=text,
@@ -526,12 +526,12 @@ def gen_atomic(
             candidate_ids=ids,
             positives=frozenset({candidates[i].id}),
             negatives=frozenset(),
-            provenance=provenance,
-            answer_token_groups=(topics[i],) if provenance == "template" else (),
         )
         for i, text in enumerate(simple_texts)
     ]
-    disjunctive = GeneratedQuestion(
+    disjunctive = _question(
+        chat,
+        tuple(topics),
         question_id=f"{id_stem}-disj",
         qtype=QuestionType.DISJUNCTIVE,
         text=disj_text,
@@ -539,8 +539,6 @@ def gen_atomic(
         candidate_ids=ids,
         positives=frozenset(ids),
         negatives=frozenset(),
-        provenance=provenance,
-        answer_token_groups=tuple(topics) if provenance == "template" else (),
     )
     return simples, disjunctive
 
@@ -550,42 +548,32 @@ def gen_and(
     candidates: Sequence[Passage],
     spec: GeneratorSpec,
     *,
-    rng=None,
+    rng: np.random.Generator,
     id_stem: str = "q0",
     client: ChatClient | None = None,
 ) -> GeneratedQuestion:
     """Constrain the disjunctive question so a single random candidate
     remains answerable; the rest become explicit negatives."""
-    rng = np.random.default_rng(spec.seed) if rng is None else rng
-    positive_at = int(rng.integers(len(candidates)))
-    positive = candidates[positive_at]
+    positive = candidates[int(rng.integers(len(candidates)))]
     negatives = [p for p in candidates if p.id != positive.id]
     topic = distinctive_tokens(positive, candidates)
+    phrase = " ".join(topic)
 
-    if spec.mode == "template":
-        text = (
-            q_disj.text.rstrip("?")
-            + f" and what is specific to {_topic_phrase(topic)}?"
-        )
-        provenance = "template"
+    chat = _chat_client(spec, client)
+    if chat is None:
+        text = q_disj.text.rstrip("?") + f" and what is specific to {phrase}?"
     else:
-        if client is None:
-            raise GenerationError("chat mode requires a chat client")
-        marked_pos = f"[positive] {positive.text}"
-        marked_neg = "\n\n".join(f"[negative] {p.text}" for p in negatives)
         text = _ask_questioner(
-            client,
-            spec.prompts,
-            spec.prompts.and_converter.format(
-                question=q_disj.text,
-                positive_paragraphs=marked_pos,
-                negative_paragraphs=marked_neg,
-            ),
+            chat,
+            DEFAULT_PROMPTS.and_converter,
+            question=q_disj.text,
+            positive_paragraphs=f"[positive] {positive.text}",
+            negative_paragraphs="\n\n".join(f"[negative] {p.text}" for p in negatives),
         )
-        provenance = "chat-model"
 
-    constraint = f"What is specific to {_topic_phrase(topic)}?"
-    return GeneratedQuestion(
+    return _question(
+        chat,
+        (topic,),
         question_id=f"{id_stem}-and",
         qtype=QuestionType.AND,
         text=text,
@@ -593,9 +581,7 @@ def gen_and(
         candidate_ids=q_disj.candidate_ids,
         positives=frozenset({positive.id}),
         negatives=frozenset(p.id for p in negatives),
-        provenance=provenance,
-        expression=render(And(Atom(q_disj.text), Atom(constraint))),
-        answer_token_groups=((topic,) if provenance == "template" else ()),
+        expression=render(And(Atom(q_disj.text), Atom(f"What is specific to {phrase}?"))),
     )
 
 
@@ -604,7 +590,7 @@ def gen_or(
     candidates: Sequence[Passage],
     spec: GeneratorSpec,
     *,
-    rng=None,
+    rng: np.random.Generator,
     id_stem: str = "q0",
     client: ChatClient | None = None,
 ) -> GeneratedQuestion:
@@ -612,28 +598,21 @@ def gen_or(
     the positives, the remaining candidates the negatives."""
     if len(simple_questions) < 2:
         raise GenerationError("OR generation needs at least 2 simple questions")
-    rng = np.random.default_rng(spec.seed) if rng is None else rng
     picked = sorted(rng.choice(len(simple_questions), size=2, replace=False).tolist())
     first, second = (simple_questions[i] for i in picked)
     positives = frozenset(next(iter(q.positives)) for q in (first, second))
-    expression = Or(Atom(first.text), Atom(second.text))
+    expression = render(Or(Atom(first.text), Atom(second.text)))
 
-    if spec.mode == "template":
+    chat = _chat_client(spec, client)
+    if chat is None:
         tail = second.text[0].lower() + second.text[1:]
         text = f"{first.text.rstrip('?')} or {tail.rstrip('?')}?"
-        provenance = "template"
     else:
-        if client is None:
-            raise GenerationError("chat mode requires a chat client")
-        text = _ask_questioner(
-            client,
-            spec.prompts,
-            spec.prompts.or_converter.format(expression=render(expression)),
-        )
-        provenance = "chat-model"
+        text = _ask_questioner(chat, DEFAULT_PROMPTS.or_converter, expression=expression)
 
-    groups = first.answer_token_groups + second.answer_token_groups
-    return GeneratedQuestion(
+    return _question(
+        chat,
+        first.answer_token_groups + second.answer_token_groups,
         question_id=f"{id_stem}-or",
         qtype=QuestionType.OR,
         text=text,
@@ -641,9 +620,7 @@ def gen_or(
         candidate_ids=first.candidate_ids,
         positives=positives,
         negatives=frozenset(p.id for p in candidates) - positives,
-        provenance=provenance,
-        expression=render(expression),
-        answer_token_groups=groups if provenance == "template" else (),
+        expression=expression,
     )
 
 
@@ -653,7 +630,7 @@ def gen_not(
     candidates: Sequence[Passage],
     spec: GeneratorSpec,
     *,
-    rng=None,
+    rng: np.random.Generator,
     id_stem: str = "q0",
     client: ChatClient | None = None,
 ) -> GeneratedQuestion:
@@ -661,29 +638,20 @@ def gen_not(
     disjunctive question; its source passage becomes the sole negative."""
     if not simple_questions:
         raise GenerationError("NOT generation needs at least 1 simple question")
-    rng = np.random.default_rng(spec.seed) if rng is None else rng
     excluded = simple_questions[int(rng.integers(len(simple_questions)))]
     negative_id = next(iter(excluded.positives))
     positives = frozenset(p.id for p in candidates) - {negative_id}
-    expression = Not(Atom(q_disj.text), Atom(excluded.text))
+    expression = render(Not(Atom(q_disj.text), Atom(excluded.text)))
 
-    if spec.mode == "template":
+    chat = _chat_client(spec, client)
+    if chat is None:
         negative = next(p for p in candidates if p.id == negative_id)
-        topic = distinctive_tokens(negative, candidates)
-        text = (
-            q_disj.text.rstrip("?")
-            + f" but not related to {_topic_phrase(topic)}?"
-        )
-        provenance = "template"
+        topic = " ".join(distinctive_tokens(negative, candidates))
+        text = q_disj.text.rstrip("?") + f" but not related to {topic}?"
     else:
-        if client is None:
-            raise GenerationError("chat mode requires a chat client")
         text = _ask_questioner(
-            client,
-            spec.prompts,
-            spec.prompts.not_converter.format(expression=render(expression)),
+            chat, DEFAULT_PROMPTS.not_converter, expression=expression
         )
-        provenance = "chat-model"
 
     groups = tuple(
         g
@@ -691,7 +659,9 @@ def gen_not(
         if next(iter(question.positives)) in positives
         for g in question.answer_token_groups
     )
-    return GeneratedQuestion(
+    return _question(
+        chat,
+        groups,
         question_id=f"{id_stem}-not",
         qtype=QuestionType.NOT,
         text=text,
@@ -699,9 +669,7 @@ def gen_not(
         candidate_ids=q_disj.candidate_ids,
         positives=positives,
         negatives=frozenset({negative_id}),
-        provenance=provenance,
-        expression=render(expression),
-        answer_token_groups=groups if provenance == "template" else (),
+        expression=expression,
     )
 
 
@@ -714,12 +682,10 @@ def _proxy_answers(passage: Passage, groups: Sequence[Sequence[str]]) -> bool:
     return any(all(t in tokens for t in group) for group in groups)
 
 
-def _chat_answers(
-    client: ChatClient, prompts: PromptSet, question: str, passage: Passage
-) -> bool:
+def _chat_answers(client: ChatClient, question: str, passage: Passage) -> bool:
     response = client.complete(
-        prompts.answerer_system,
-        prompts.answerer.format(question=question, paragraphs=passage.text),
+        DEFAULT_PROMPTS.answerer_system,
+        DEFAULT_PROMPTS.answerer.format(question=question, paragraphs=passage.text),
     )
     normalized = response.strip().strip('."').lower()
     return not normalized.startswith(CANNOT_ANSWER.lower())
@@ -738,7 +704,8 @@ def cyclic_filter(
     question's answer_token_groups; chat mode asks the answerer model per
     passage. Chat transport failures mark the question unfiltered.
     """
-    if spec.mode == "template":
+    chat = _chat_client(spec, client)
+    if chat is None:
         if not question.answer_token_groups:
             raise GenerationError(
                 f"question {question.question_id!r} lacks answer token groups; "
@@ -746,9 +713,7 @@ def cyclic_filter(
             )
         answers = lambda p: _proxy_answers(p, question.answer_token_groups)
     else:
-        if client is None:
-            raise GenerationError("chat mode requires a chat client")
-        answers = lambda p: _chat_answers(client, spec.prompts, question.text, p)
+        answers = lambda p: _chat_answers(chat, question.text, p)
 
     try:
         for passage_id in sorted(question.positives):
@@ -808,8 +773,6 @@ def generate_questions(
                 break
             seed_key = [spec.seed, round_idx, cluster.cluster_id]
             candidate_ids = sample_candidates(cluster, seed_key)
-            if not candidate_ids:
-                continue
             candidates = [corpus[pid] for pid in candidate_ids]
             rng = np.random.default_rng(seed_key + [1])
             id_stem = f"c{cluster.cluster_id:04d}r{round_idx:03d}"

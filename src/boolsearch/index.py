@@ -120,7 +120,7 @@ class Index:
     fingerprint: str
     load_warnings: tuple[str, ...] = field(default=(), compare=False)
     # derived once here, never lazily: one Index is shared across threads
-    _id_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _id_rank: np.ndarray = field(init=False, repr=False, compare=False)
     _row_norm_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -152,7 +152,9 @@ class Index:
             sq_norms[start : start + len(block)] = np.einsum("ij,ij->i", block, block)
         if not np.isfinite(sq_norms).all():
             raise BoolSearchError("index matrix holds non-finite values")
-        object.__setattr__(self, "_id_array", np.asarray(self.doc_ids))
+        # ranks in Python string order: a numpy str_ array drops trailing NULs
+        ids = np.array(self.doc_ids, dtype=object)
+        object.__setattr__(self, "_id_rank", np.argsort(np.argsort(ids)))
         object.__setattr__(self, "_row_norm_bound", math.sqrt(float(sq_norms.max())))
 
     @property
@@ -239,11 +241,10 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
     # order is then identical to a per-row np.sum, keeping scores exactly
     # reproducible regardless of how many rows are scored at once
     scores = (matrix[cand].astype(np.float64) * vec).sum(axis=1)
-    ids = index._id_array[cand]
     # lexsort: last key is primary, so descending score then ascending id
-    order = np.lexsort((ids, -scores))[:k]
+    order = np.lexsort((index._id_rank[cand], -scores))[:k]
     return RankedList(
-        ScoredDoc(str(ids[i]), float(scores[i])) for i in order
+        ScoredDoc(index.doc_ids[cand[i]], float(scores[i])) for i in order
     )
 
 

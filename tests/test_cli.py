@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -163,6 +164,20 @@ class TestStatsCommand:
         )
         assert json.loads(out)["per_type"]["OR"]["avg_positives"] == 2.0
 
+    def test_unknown_format_is_runtime_error(self, capsys, tmp_path):
+        judgments = tmp_path / "j.jsonl"
+        judgments.write_text(json.dumps({
+            "question_id": "q1", "question": "What is x?", "qtype": "AND",
+            "positives": ["p1"], "negatives": ["p2"],
+        }) + "\n")
+        config = tmp_path / "app.cfg"
+        config.write_text("stats.format=xml\n")
+        code, out, err = run_cli(
+            capsys, "--config", str(config), "stats", "--judgments", str(judgments)
+        )
+        assert code == 2 and not out
+        assert err == "error: unknown stats format 'xml'\n"
+
 
 class TestGenCommands:
     def test_full_generation_chain(self, capsys, tmp_path, corpus_file):
@@ -199,6 +214,25 @@ class TestGenCommands:
         assert code == 0
         loaded = load_judgments(dataset)
         assert loaded and "AND" in out
+
+    def test_assemble_unknown_format_writes_nothing(self, capsys, tmp_path, corpus_file):
+        corpus, _ = planted_corpus(n_clusters=3, per_cluster=4)
+        clusters = [generate.Cluster(0, corpus.ids[:4])]
+        spec = generate.GeneratorSpec(seed=1, n_per_type=2)
+        questions = tmp_path / "filtered.jsonl"
+        generate.save_questions(generate.apply_cyclic_filter(
+            generate.generate_questions(corpus, clusters, spec), corpus, spec
+        ), questions)
+        config = tmp_path / "app.cfg"
+        config.write_text("stats.format=xml\n")
+        dataset = tmp_path / "judgments.jsonl"
+        code, out, err = run_cli(
+            capsys, "--config", str(config), "gen", "assemble", "--corpus",
+            str(corpus_file), "--questions", str(questions), "--out", str(dataset),
+        )
+        assert code == 2 and not out
+        assert err == "error: unknown stats format 'xml'\n"
+        assert not dataset.exists()
 
     def test_cluster_above_row_cap_is_runtime_error(
         self, capsys, tmp_path, corpus_file, monkeypatch
@@ -289,11 +323,13 @@ class TestFailClosed:
         assert code == 2
         assert err == "error: unexpected RuntimeError: boom\n"
 
-    @pytest.mark.parametrize("level", ["DEBUG", "INFO"])
-    def test_traceback_only_at_debug(self, level):
-        # a fresh process, so the root logger is not pytest's
+    @staticmethod
+    def fail_in_fresh_process(level, prelude=""):
+        """Run a failing `stats` at `level` in a fresh interpreter, whose root
+        logger is not pytest's; `prelude` runs before the command."""
         script = (
-            "import sys; from boolsearch import cli\n"
+            "import logging, sys; from boolsearch import cli\n"
+            f"{prelude}"
             "def broken(args, config): raise RuntimeError('boom')\n"
             "cli._HANDLERS['stats'] = broken\n"
             "sys.exit(cli.dispatch(sys.argv[1:]))\n"
@@ -306,7 +342,21 @@ class TestFailClosed:
         )
         assert done.returncode == 2
         assert done.stderr.splitlines()[-1] == "error: unexpected RuntimeError: boom"
-        assert ("Traceback" in done.stderr) == (level == "DEBUG")
+        return done.stderr
+
+    @pytest.mark.parametrize("level", ["DEBUG", "INFO"])
+    def test_traceback_only_at_debug(self, level):
+        stderr = self.fail_in_fresh_process(level)
+        assert ("Traceback" in stderr) == (level == "DEBUG")
+
+    def test_log_level_applies_when_root_logger_has_a_handler(self):
+        # a handler on the root logger makes logging.basicConfig a no-op
+        prelude = "logging.getLogger().addHandler(logging.StreamHandler())\n"
+        assert "Traceback" in self.fail_in_fresh_process("DEBUG", prelude)
+
+    def test_log_level_does_not_outlive_the_call(self, capsys):
+        run_cli(capsys, "--log-level", "ERROR", "stats", "--judgments", "absent.jsonl")
+        assert logging.getLogger("boolsearch").level == logging.NOTSET
 
 
 class TestConfigFile:

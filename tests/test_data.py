@@ -293,7 +293,7 @@ class TestRenderStats:
         assert payload["per_type"]["AND"]["n_questions"] == 354
 
     def test_unknown_format(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BoolSearchError, match="'yaml'"):
             render_stats(compute_stats([]), fmt="yaml")
 
 

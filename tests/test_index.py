@@ -127,6 +127,15 @@ class TestTopK:
         assert ranked.doc_ids() == ("pa", "pb")
         assert ranked.items[0].score == ranked.items[1].score
 
+    @pytest.mark.parametrize("ids", [("a\x00", "b"), ("a\x00", "a")])
+    def test_ids_ending_in_nul_tie_in_python_order(self, ids):
+        # a numpy str_ array drops trailing NULs, reading "a\x00" as "a"
+        corpus = Corpus([Passage(pid, "same text") for pid in ids])
+        index = build_index(corpus, SPEC, "dot")
+        ranked = top_k(index, "same", 2)
+        assert ranked.doc_ids() == tuple(sorted(ids))
+        assert [(d.doc_id, d.score) for d in ranked] == oracle_top_k(index, "same", 2)
+
     def test_k_below_one_rejected(self):
         index = build_index(small_corpus(), SPEC, "dot")
         with pytest.raises(BoolSearchError, match="k must be"):
