@@ -4,17 +4,25 @@ Scoring is exact: every query is compared against every row, so retrieval
 quality depends only on the embedding and the similarity function. Ties are
 always broken by ascending doc id for total determinism.
 
-top_k runs in two stages. A float32 BLAS matrix-vector product screens
-every row; a rigorous bound on that screen's rounding error (Higham,
-Accuracy and Stability of Numerical Algorithms, section 3.1) keeps every
-row that could still belong to the top k. Only those survivors are scored
-again with the float64 per-row reduction that defines a score, so results
-are bit-identical to scoring and fully sorting every row.
+The index keeps its float32 matrix column-major and read-only. top_k runs
+in two stages. A float32 screen scores every row over only the columns
+where the query is nonzero, adding one contiguous column at a time
+(term-at-a-time scoring); a query nonzero in more than a fifth of the
+columns is screened by one BLAS product over the whole matrix instead. A
+rigorous bound on the screen's rounding error (Higham, Accuracy and
+Stability of Numerical Algorithms, section 3.1) keeps every row that could
+still belong to the top k. Survivors that hold only zeros in the query's
+columns, one of them of the query entry's sign, score exactly +0.0 and need
+no arithmetic; the others are scored again with the float64 per-row
+reduction that defines a score, so results are bit-identical to scoring
+and fully sorting every row.
 
 Index file layout (little-endian): magic "BDIX", u32 version, u8 similarity
 (0=dot, 1=cosine), u32 dim, u64 row count, u32-length-prefixed embedder-spec
 JSON, 16-byte fingerprint, u32-length-prefixed UTF-8 doc ids, then the
-row-major float32 matrix.
+float32 matrix. Version 2 stores the matrix column-major followed by the
+u32 CRC32 of those payload bytes; version 1 (still read) stores it
+row-major with no checksum.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import json
 import logging
 import math
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
@@ -36,10 +45,14 @@ from .errors import BoolSearchError, EmbeddingError, IndexFormatError
 logger = logging.getLogger(__name__)
 
 MAGIC = b"BDIX"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # version 1 files still load
 SIMILARITIES = ("dot", "cosine")
 
-_CHUNK_ROWS = 1024  # rows per embedding batch and per float64 norm block
+_CHUNK_ROWS = 1024  # rows per embedding batch
+# top_k screens a column at a time while the query's nonzero entries are at
+# most this share of the dim; past it one GEMV over the whole matrix is faster
+# (at 50k x 256 the two cost the same near 55 columns)
+_COLUMN_SCREEN_SHARE = 0.2
 
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
@@ -114,7 +127,7 @@ class Index:
     """Embedded corpus matrix plus everything needed to score queries."""
 
     doc_ids: tuple[str, ...]
-    matrix: np.ndarray  # float32, len(doc_ids) x dim
+    matrix: np.ndarray  # float32, len(doc_ids) x dim, column-major, read-only
     similarity: str
     spec: EmbedderSpec
     fingerprint: str
@@ -144,12 +157,20 @@ class Index:
             )
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise BoolSearchError("index doc ids must be distinct")
-        # float64 squared row norms, a chunk at a time; a float32 square
+        matrix = self.matrix
+        if matrix.flags.writeable or not matrix.flags.f_contiguous:
+            # a read-only copy of its own: no later write can skip the
+            # finiteness check or leave the row norm bound stale
+            matrix = np.array(matrix, order="F")
+            matrix.flags.writeable = False
+            object.__setattr__(self, "matrix", matrix)
+        # float64 squared row norms, a column at a time; a float32 square
         # cannot overflow float64, so a non-finite sum means a non-finite entry
-        sq_norms = np.empty(len(self.doc_ids))
-        for start in range(0, len(sq_norms), _CHUNK_ROWS):
-            block = self.matrix[start : start + _CHUNK_ROWS].astype(np.float64)
-            sq_norms[start : start + len(block)] = np.einsum("ij,ij->i", block, block)
+        sq_norms = np.zeros(len(self.doc_ids))
+        with np.errstate(invalid="ignore"):  # casting a signalling NaN warns
+            for column in matrix.T:
+                column = column.astype(np.float64)
+                sq_norms += column * column
         if not np.isfinite(sq_norms).all():
             raise BoolSearchError("index matrix holds non-finite values")
         # ranks in Python string order: a numpy str_ array drops trailing NULs
@@ -179,7 +200,8 @@ def build_index(
     """Embed every passage once and assemble the scoring matrix.
 
     Passages are embedded, normalized and cast to float32 one chunk at a
-    time, so only one chunk's float64 rows are alive beside the matrix.
+    time into the column-major matrix, so only one chunk's float64 rows are
+    alive beside it.
     Cosine indexes store unit-normalized rows (zero rows stay zero).
     """
     if similarity not in SIMILARITIES:
@@ -188,7 +210,7 @@ def build_index(
         raise BoolSearchError("cannot build an index over an empty corpus")
     ids = corpus.ids
     texts = corpus.texts
-    matrix = np.empty((len(texts), spec.dim), dtype=np.float32)
+    matrix = np.empty((len(texts), spec.dim), dtype=np.float32, order="F")
     for start in range(0, len(texts), _CHUNK_ROWS):
         chunk = list(texts[start : start + _CHUNK_ROWS])
         try:
@@ -201,6 +223,7 @@ def build_index(
         if similarity == "cosine":
             rows = normalize_rows(rows)
         matrix[start : start + len(chunk)] = rows
+    matrix.flags.writeable = False
     return Index(
         doc_ids=ids,
         matrix=matrix,
@@ -225,22 +248,55 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
     vec = embed_query(index, query)
     matrix = index.matrix
     n = len(matrix)
-    # screen: one float32 GEMV, within eps of every row's float64 score
     eps = _screen_error(index.dim, index._row_norm_bound, float(np.linalg.norm(vec)))
+    # screen in float32, within eps of every row's float64 score in any
+    # summation order, over only the query's nonzero columns: a zero query
+    # entry adds an exact zero
+    nz = np.flatnonzero(vec)
+    terms = vec[nz]
     with np.errstate(over="ignore", invalid="ignore"):  # eps is inf then
-        screen = matrix @ vec.astype(np.float32)
+        if len(nz) <= index.dim * _COLUMN_SCREEN_SHARE:
+            screen = np.zeros(n, dtype=np.float32)
+            for j, term in zip(nz, terms.astype(np.float32)):
+                screen += matrix[:, j] * term
+        else:
+            screen = matrix @ vec.astype(np.float32)
     kth = min(k, n)
-    t = float(np.partition(screen, n - kth)[n - kth])
+    # the maxima of kth blocks are kth distinct screens, so the kth largest
+    # screen is at least the least of them: partition the screens from that
+    # floor up or, if it is not positive, the positive screens, and every
+    # screen only when fewer than kth are positive
+    width = n // kth
+    floor = screen[: width * kth].reshape(kth, width).max(axis=1).min()
+    pool = screen[screen >= floor] if floor > 0 else screen[screen > 0]
+    if len(pool) < kth:
+        pool = screen
+    t = float(np.partition(pool, len(pool) - kth)[len(pool) - kth])
     # each of the kth rows screened >= t scores >= t - eps, so every row of
     # the true top k scores >= t - eps and screens >= t - 2 eps; the test is
     # inclusive, so rows tied at the boundary all survive
     threshold = _round_down_f32(t - 2.0 * eps)
     # "not below" also keeps NaN screens, so an unusable screen keeps all rows
     cand = np.flatnonzero(~(screen < threshold))
-    # elementwise multiply + pairwise sum, not BLAS matmul: the reduction
-    # order is then identical to a per-row np.sum, keeping scores exactly
-    # reproducible regardless of how many rows are scored at once
-    scores = (matrix[cand].astype(np.float64) * vec).sum(axis=1)
+    free = cand[:0]  # survivors whose score is +0.0 without arithmetic
+    if threshold <= 0:
+        # a row holding only zeros in the query's columns has only zero
+        # products, and one +0.0 product makes their float64 sum +0.0 in any
+        # order; rows of -0.0 that prove no +0.0 product are rescored
+        at_zero = screen[cand] == 0
+        zero = cand[at_zero]
+        block = matrix[:, nz][zero]
+        proven = ~block.any(axis=1) & (np.signbit(block) == np.signbit(terms)).any(axis=1)
+        free = zero[proven]
+        if len(free) > k:  # tied at 0.0: only the k smallest ids can place
+            free = free[np.argpartition(index._id_rank[free], k - 1)[:k]]
+        cand = np.concatenate((cand[~at_zero], zero[~proven]))
+    # elementwise multiply + pairwise sum over C-ordered rows, not BLAS
+    # matmul: the reduction order is then identical to a per-row np.sum,
+    # keeping scores exactly reproducible however many rows are scored
+    scores = (matrix[cand].astype(np.float64, order="C") * vec).sum(axis=1)
+    cand = np.concatenate((cand, free))
+    scores = np.concatenate((scores, np.zeros(len(free))))
     # lexsort: last key is primary, so descending score then ascending id
     order = np.lexsort((index._id_rank[cand], -scores))[:k]
     return RankedList(
@@ -287,13 +343,17 @@ def save_index(index: Index, path: str | Path) -> None:
             encoded = doc_id.encode("utf-8")
             f.write(struct.pack("<I", len(encoded)))
             f.write(encoded)
-        f.write(np.ascontiguousarray(index.matrix, dtype="<f4").tobytes())
+        # the matrix's own column-major layout: written without a transpose
+        payload = np.ascontiguousarray(index.matrix.T, dtype="<f4")
+        f.write(payload)
+        f.write(struct.pack("<I", zlib.crc32(payload)))
 
 
 def load_index(path: str | Path, expected_spec: EmbedderSpec | None = None) -> Index:
     """Read an index file back; bit-for-bit inverse of save_index.
 
-    Fails closed with IndexFormatError on a bad header, a truncated file, an
+    Reads format versions 1 and 2. Fails closed with IndexFormatError on a
+    bad header, a truncated file, a payload failing its CRC32 check, an
     embedder spec that is not exactly EmbedderSpec's fields or disagrees
     with the stored fingerprint or the header's dim, duplicate doc ids, or
     a non-finite matrix entry.
@@ -308,10 +368,10 @@ def load_index(path: str | Path, expected_spec: EmbedderSpec | None = None) -> I
     try:
         version, sim_code, dim, count = struct.unpack_from("<IBIQ", data, 4)
         offset = 4 + struct.calcsize("<IBIQ")
-        if version != FORMAT_VERSION:
+        if version not in (1, FORMAT_VERSION):
             raise IndexFormatError(
                 f"{path}: unsupported index version {version} "
-                f"(expected {FORMAT_VERSION})"
+                f"(expected 1 or {FORMAT_VERSION})"
             )
         if sim_code >= len(SIMILARITIES):
             raise IndexFormatError(f"{path}: unknown similarity code {sim_code}")
@@ -327,14 +387,29 @@ def load_index(path: str | Path, expected_spec: EmbedderSpec | None = None) -> I
             offset += 4
             doc_ids.append(data[offset : offset + id_len].decode("utf-8"))
             offset += id_len
-        expected_bytes = count * dim * 4
+        payload_bytes = count * dim * 4
+        expected_bytes = payload_bytes + (4 if version == FORMAT_VERSION else 0)
         if len(data) - offset != expected_bytes:
             raise IndexFormatError(
                 f"{path}: matrix payload holds {len(data) - offset} bytes, "
                 f"expected {expected_bytes} (truncated or trailing data)"
             )
-        matrix = np.frombuffer(data, dtype="<f4", offset=offset).reshape(count, dim).copy()
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        payload = memoryview(data)[offset : offset + payload_bytes]
+        values = np.frombuffer(payload, dtype="<f4")
+        if version == 1:  # rows one after another
+            matrix = values.reshape(count, dim).copy(order="F")
+        else:
+            (stored,) = struct.unpack_from("<I", data, offset + payload_bytes)
+            computed = zlib.crc32(payload)
+            if computed != stored:
+                raise IndexFormatError(
+                    f"{path}: matrix payload fails its CRC32 check "
+                    f"(stored {stored:08x}, computed {computed:08x})"
+                )
+            matrix = values.reshape(dim, count).T.copy(order="F")
+        matrix.flags.writeable = False
+    # ValueError covers undecodable UTF-8 and JSON, and integers too long to read
+    except (struct.error, ValueError, RecursionError) as exc:
         raise IndexFormatError(f"{path}: corrupt index file: {exc}") from None
     warnings: tuple[str, ...] = ()
     if expected_spec is not None and expected_spec.fingerprint() != fingerprint:

@@ -9,7 +9,10 @@ construction.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import struct
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +21,7 @@ from boolsearch.data import Corpus, Passage
 from boolsearch.embed import tokenize
 from boolsearch.errors import GenerationError
 from boolsearch.generate import Cluster, cosine_distances
-from boolsearch.index import Index, embed_query
+from boolsearch.index import MAGIC, SIMILARITIES, Index, embed_query
 from boolsearch.query import And, Atom, Not, Or
 
 
@@ -79,6 +82,26 @@ def oracle_top_k(index: Index, query_text: str, k: int):
     ]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
+
+
+def save_index_v1(index: Index, path) -> None:
+    """Write an index file of format version 1: the version 2 layout with
+    the matrix row-major and no CRC32 after it."""
+    spec_json = json.dumps(asdict(index.spec), sort_keys=True).encode("utf-8")
+    parts = [
+        MAGIC,
+        struct.pack("<IBIQ", 1, SIMILARITIES.index(index.similarity), index.dim,
+                    len(index.doc_ids)),
+        struct.pack("<I", len(spec_json)),
+        spec_json,
+        index.fingerprint.encode("ascii")[:16].ljust(16, b"\0"),
+    ]
+    for doc_id in index.doc_ids:
+        encoded = doc_id.encode("utf-8")
+        parts += [struct.pack("<I", len(encoded)), encoded]
+    parts.append(np.ascontiguousarray(index.matrix, dtype="<f4").tobytes())
+    with open(path, "wb") as f:
+        f.write(b"".join(parts))
 
 
 def oracle_evaluate_full_depth(index: Index, expr, not_mode: str, final_k: int):

@@ -4,15 +4,22 @@ Whatever the bytes or text, the only exceptions that may escape are
 BoolSearchError subclasses, which the CLI turns into exit code 2.
 """
 
+import functools
 import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from boolsearch.data import load_corpus, load_judgments
-from boolsearch.errors import BoolSearchError
+from boolsearch.data import Corpus, Passage, load_corpus, load_judgments
+from boolsearch.embed import EmbedderSpec
+from boolsearch.errors import BoolSearchError, IndexFormatError
+from boolsearch.index import Index, build_index, load_index, save_index
 from boolsearch.metrics import load_run
 from boolsearch.query import parse_boolean_query
+
+from _planted import save_index_v1
 
 FUZZ = settings(
     max_examples=300,
@@ -112,3 +119,49 @@ def test_parse_boolean_query(text):
         parse_boolean_query(text)
     except BoolSearchError:
         pass
+
+
+@functools.cache
+def index_files() -> tuple[bytes, ...]:
+    """Small valid index files: format versions 1 and 2, dot and cosine."""
+    spec = EmbedderSpec(kind="hashed-bow", dim=8, normalize=False, seed=3)
+    corpus = Corpus([Passage("a", "alpha beta"), Passage("b\u00e9", "gamma"),
+                     Passage("c", "delta delta")])
+    blobs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.idx"
+        for similarity in ("dot", "cosine"):
+            for save in (save_index_v1, save_index):
+                save(build_index(corpus, spec, similarity), path)
+                blobs.append(path.read_bytes())
+    return tuple(blobs)
+
+
+def mutated(args) -> bytes:
+    which, at, value = args
+    blob = index_files()[which]
+    at %= len(blob)
+    return blob[:at] + bytes([value]) + blob[at + 1 :]
+
+
+def truncated(args) -> bytes:
+    which, size = args
+    blob = index_files()[which]
+    return blob[: size % len(blob)]
+
+
+@FUZZ
+@given(blob=st.one_of(
+    st.binary(max_size=300),
+    st.binary(max_size=300).map(lambda tail: b"BDIX" + tail),
+    st.tuples(st.integers(0, 3), st.integers(min_value=0), st.integers(0, 255)).map(mutated),
+    st.tuples(st.integers(0, 3), st.integers(min_value=0)).map(truncated),
+))
+def test_load_index(tmp_path, blob):
+    path = tmp_path / "x.idx"
+    path.write_bytes(blob)
+    try:
+        index = load_index(path)
+    except IndexFormatError:
+        return
+    assert isinstance(index, Index) and not index.matrix.flags.writeable

@@ -1,6 +1,7 @@
 import json
 import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from boolsearch.data import Corpus, Passage
 from boolsearch.embed import EmbedderSpec, hashed_bow_embed, normalize_rows
 from boolsearch.errors import BoolSearchError, IndexFormatError
 from boolsearch.index import (
+    SIMILARITIES,
     Index,
     RankedList,
     ScoredDoc,
@@ -19,7 +21,8 @@ from boolsearch.index import (
     top_k,
 )
 
-from _planted import oracle_top_k, random_corpus, random_query
+from _planted import oracle_top_k, random_corpus, random_query, save_index_v1
+from _server import ScriptedServer
 
 SPEC = EmbedderSpec(kind="hashed-bow", dim=64, normalize=False, seed=9)
 SPEC_JSON_AT = 4 + struct.calcsize("<IBIQ")  # u32 length, then the JSON
@@ -35,6 +38,51 @@ def rewrite_spec_json(path, edit):
     path.write_bytes(
         blob[:SPEC_JSON_AT] + struct.pack("<I", len(new)) + new + blob[start + length :]
     )
+
+
+def rewrite_payload(path, index, edit):
+    """Apply edit(bytearray) to a saved index's matrix payload and store the
+    edited payload's CRC32 after it."""
+    blob = path.read_bytes()
+    size = len(index.doc_ids) * index.dim * 4
+    payload = bytearray(blob[-4 - size : -4])
+    edit(payload)
+    path.write_bytes(blob[: -4 - size] + payload + struct.pack("<I", zlib.crc32(payload)))
+
+
+def exact(pairs):
+    """(doc id, repr(score)) pairs: repr tells -0.0 from 0.0, == does not."""
+    return [(doc_id, repr(score)) for doc_id, score in pairs]
+
+
+def assert_matches_oracle(index, query, k):
+    got = exact((d.doc_id, d.score) for d in top_k(index, query, k))
+    assert got == exact(oracle_top_k(index, query, k))
+
+
+class ScriptedEmbedder:
+    """Indexes whose queries a scripted remote embedding service embeds as
+    vectors[text], so a test picks dense vectors and signed zeros."""
+
+    def __init__(self, url):
+        self.url = url
+        self.vectors = {}
+
+    def index(self, matrix, similarity):
+        spec = EmbedderSpec(kind="remote", dim=matrix.shape[1], normalize=False,
+                            endpoint=self.url)
+        ids = tuple(f"r{i:06d}" for i in range(len(matrix)))
+        return Index(ids, matrix.astype(np.float32), similarity, spec, spec.fingerprint())
+
+
+@pytest.fixture
+def scripted():
+    def respond(path, body, headers):
+        return 200, {"vectors": [embedder.vectors[text] for text in body["texts"]]}
+
+    with ScriptedServer(respond) as server:
+        embedder = ScriptedEmbedder(server.url)
+        yield embedder
 
 
 def small_corpus():
@@ -79,6 +127,19 @@ class TestBuildIndex:
         matrix[1, 5] = np.inf
         with pytest.raises(BoolSearchError, match="non-finite"):
             Index(("p1", "p2", "p3"), matrix, "dot", SPEC, SPEC.fingerprint())
+
+    def test_matrix_is_column_major_and_read_only(self, tmp_path):
+        built = build_index(small_corpus(), SPEC, "dot")
+        save_index(built, tmp_path / "x.idx")
+        loaded = load_index(tmp_path / "x.idx")
+        mine = built.matrix.copy()
+        given = Index(built.doc_ids, mine, "dot", SPEC, SPEC.fingerprint())
+        mine[0, 0] = 5.0  # the index holds a copy of a caller's writable array
+        assert given == built
+        for index in (built, loaded, given):
+            assert index.matrix.flags.f_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                index.matrix[0, 0] = 1.0
 
     def test_row_per_passage(self):
         index = build_index(small_corpus(), EmbedderSpec(dim=256), "dot")
@@ -157,16 +218,12 @@ class TestTopK:
             sim = "dot" if trial % 2 == 0 else "cosine"
             index = build_index(corpus, SPEC, sim)
             for _ in range(5):
-                query = random_query(rng)
-                k = int(rng.integers(1, 15))
-                got = [(d.doc_id, d.score) for d in top_k(index, query, k)]
-                assert got == oracle_top_k(index, query, k)
+                assert_matches_oracle(index, random_query(rng), int(rng.integers(1, 15)))
             # a query with no tokens (zero vector) and k beyond the corpus:
             # every row survives the screen and the order is by id alone
             n = len(corpus)
-            for query, k in (("", n), ("?!", n + 7), (random_query(rng), n + 1)):
-                got = [(d.doc_id, d.score) for d in top_k(index, query, k)]
-                assert got == oracle_top_k(index, query, k)
+            for query, k in (("", 1), ("", n), ("?!", n + 7), (random_query(rng), n + 1)):
+                assert_matches_oracle(index, query, k)
 
     def test_matches_oracle_on_100k_tie_heavy_rows(self):
         # rows are sums of 2-8 of 40 word vectors: many exact duplicates,
@@ -233,6 +290,119 @@ class TestTopK:
             for k in (1, 5, 30):
                 got = [(d.doc_id, d.score) for d in top_k(index, query, k)]
                 assert got == oracle_top_k(index, query, k)
+
+    @pytest.mark.parametrize("similarity", SIMILARITIES)
+    def test_zero_band_matches_oracle(self, similarity):
+        # one- and two-word queries over token soup: most rows share no
+        # bucket with the query, so from k = overlapping + 1 on the k-th
+        # screen is at most 0, the threshold is <= 0 and the rows disjoint
+        # from the query place without arithmetic
+        rng = np.random.default_rng(23)
+        corpus = random_corpus(rng, 400)
+        index = build_index(corpus, SPEC, similarity)
+        for query in ("w3", "w11 w29", "w0 w39"):
+            nz = np.flatnonzero(embed_query(index, query))
+            overlapping = 400 - int((index.matrix[:, nz] == 0).all(axis=1).sum())
+            assert overlapping < 200
+            for k in (10, 40, overlapping + 1, 200, 401):
+                assert_matches_oracle(index, query, k)
+            assert oracle_top_k(index, query, 200)[-1][1] == 0.0
+
+    def test_ids_ending_in_nul_inside_the_zero_band(self):
+        # "x" < "x\x00" < "x0" in Python; a numpy str_ array reads "x\x00" as "x"
+        words = ["alpha", "beta gamma", "delta", "beta"]
+        passages = []
+        for i in range(60):
+            stem = f"d{i // 2:02d}" + ("\x00" if i % 2 else "")
+            passages.append(Passage(stem, words[i % len(words)]))
+        passages += [Passage("d05\x00\x00", "delta"), Passage("d050", "delta")]
+        index = build_index(Corpus(passages), SPEC, "dot")
+        for k in (3, 17, 31, 62, 70):
+            assert_matches_oracle(index, "alpha", k)
+        ids = [d.doc_id for d in top_k(index, "alpha", 40)]
+        zero_band = ids[15:]  # the 15 "alpha" rows score above 0
+        assert zero_band == sorted(zero_band) and "d05\x00\x00" in zero_band
+
+    @pytest.mark.parametrize("similarity", SIMILARITIES)
+    def test_dense_rows_and_queries_match_oracle(self, scripted, similarity):
+        # a remote embedder's vectors: every entry nonzero, so the screen
+        # runs over every column (nnz = dim)
+        rng = np.random.default_rng(41)
+        matrix = rng.standard_normal((3000, 48))
+        if similarity == "cosine":
+            matrix = normalize_rows(matrix)
+        index = scripted.index(matrix, similarity)
+        for q in range(6):
+            scripted.vectors[f"q{q}"] = rng.standard_normal(48).tolist()
+            for k in (1, 10, 250, 3000, 3001):
+                assert_matches_oracle(index, f"q{q}", k)
+
+    @pytest.mark.parametrize("similarity", SIMILARITIES)
+    def test_signed_zeros_match_oracle(self, scripted, similarity):
+        # sparse small-integer rows and queries whose zeros are +0.0 or -0.0,
+        # as a remote embedder may return them: a row of -0.0 against a
+        # positive query entry proves no +0.0 product and is rescored
+        rng = np.random.default_rng(43)
+        n, dim = 2000, 32
+        matrix = rng.integers(-2, 3, size=(n, dim)) * (rng.random((n, dim)) < 0.08)
+        matrix = matrix.astype(np.float64)
+        negative_zero = (matrix == 0) & (rng.random((n, dim)) < 0.5)
+        matrix[negative_zero] = -0.0
+        matrix[: n // 4][matrix[: n // 4] == 0] = -0.0  # rows of -0.0 wherever 0
+        if similarity == "cosine":
+            matrix = normalize_rows(matrix)
+        index = scripted.index(matrix, similarity)
+        queries = {
+            "positive": [3.0, 0.0, 1.0] + [-0.0] * (dim - 3),
+            "negative": [-0.0] * (dim - 2) + [-1.0, -2.0],
+            "mixed": [1.0, -1.0] + [0.0, -0.0] * ((dim - 2) // 2),
+            # nonzero in a quarter of the columns: screened by one GEMV
+            "wide": [1.0, -2.0] * 4 + [-0.0] * (dim - 8),
+            "negative-zero": [-0.0] * dim,
+            "zero": [0.0] * dim,
+        }
+        scripted.vectors.update(queries)
+        for query in queries:
+            for k in (5, 300, n - 1, n + 3):
+                assert_matches_oracle(index, query, k)
+
+    def test_rows_cancelling_to_a_zero_screen_are_rescored(self, scripted):
+        # a + 1 - a is 1 in float64 but 0 in float32 when 1 is absorbed into
+        # a first: such rows screen 0 without being disjoint from the query,
+        # and must be rescored even in the zero band
+        a = 2.0**26
+        assert np.float32(a) + np.float32(1.0) - np.float32(a) == 0
+        planted = [[a, 1.0, -a], [a, -a, 1.0], [1.0, a, -a],
+                   [-a, 1.0, a], [-a, a, 1.0], [1.0, -a, a]]
+        rng = np.random.default_rng(59)
+        matrix = np.zeros((206, 16))
+        matrix[:6, :3] = planted
+        matrix[6:, 3:] = rng.integers(1, 4, size=(200, 13))
+        index = scripted.index(matrix, "dot")
+        scripted.vectors["q"] = [1.0, 1.0, 1.0] + [0.0] * 13
+        for k in (1, 6, 10, 206):
+            assert_matches_oracle(index, "q", k)
+
+    def test_zero_band_on_100k_rows(self):
+        # 100k rows of 1-3 words of 400: a one-word query shares a bucket
+        # with a few thousand rows, so the k-th screen score is 0 and tens
+        # of thousands of rows tie there
+        spec = EmbedderSpec(kind="hashed-bow", dim=256, normalize=False, seed=5)
+        rng = np.random.default_rng(53)
+        words = np.stack([hashed_bow_embed(f"w{v}", 256, seed=5) for v in range(400)])
+        counts = np.zeros((100_000, 400), dtype=np.float32)
+        for j in range(3):
+            rows = np.flatnonzero(rng.integers(1, 4, size=100_000) > j)
+            np.add.at(counts, (rows, rng.integers(0, 400, size=len(rows))), 1.0)
+        counts[:, 0] += 1.0  # every row holds one shared word
+        matrix = counts @ words.astype(np.float32)  # small integers: exact
+        del counts
+        index = Index(tuple(f"d{i:06d}" for i in rng.permutation(len(matrix))), matrix,
+                      "dot", spec, spec.fingerprint())
+        del matrix
+        for query, k in (("w7", 5_000), ("w7 w8", 40_000), ("w0", 20)):
+            assert_matches_oracle(index, query, k)
+        assert oracle_top_k(index, "w7", 5_000)[-1][1] == 0.0
 
     def test_dot_similarity_symmetric(self):
         a = hashed_bow_embed("alpha beta", 64, seed=9)
@@ -355,10 +525,56 @@ class TestPersistence:
 
     def test_non_finite_payload_rejected(self, tmp_path):
         path = tmp_path / "x.idx"
-        save_index(build_index(small_corpus(), SPEC, "dot"), path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-4] + struct.pack("<f", float("nan")))
+        index = build_index(small_corpus(), SPEC, "dot")
+        save_index(index, path)
+
+        def plant_nan(payload):
+            payload[-4:] = struct.pack("<f", float("nan"))
+
+        # the CRC32 is valid, so the finiteness check is what rejects it
+        rewrite_payload(path, index, plant_nan)
         with pytest.raises(IndexFormatError, match="non-finite"):
+            load_index(path)
+
+    def test_payload_is_column_major_with_crc32(self, tmp_path):
+        index = build_index(random_corpus(np.random.default_rng(6), 50), SPEC, "cosine")
+        path = tmp_path / "x.idx"
+        save_index(index, path)
+        blob = path.read_bytes()
+        size = len(index.doc_ids) * index.dim * 4
+        assert struct.unpack_from("<I", blob, 4) == (2,)
+        assert blob[-4 - size : -4] == index.matrix.T.tobytes()
+        assert blob[-4:] == struct.pack("<I", zlib.crc32(blob[-4 - size : -4]))
+
+    def test_flipped_payload_byte_fails_crc32(self, tmp_path):
+        path = tmp_path / "x.idx"
+        save_index(build_index(small_corpus(), SPEC, "dot"), path)
+        blob = bytearray(path.read_bytes())
+        blob[-100] ^= 0x10
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IndexFormatError, match="CRC32"):
+            load_index(path)
+
+    @pytest.mark.parametrize("similarity", SIMILARITIES)
+    def test_version_1_file_loads_bit_identically(self, tmp_path, similarity):
+        index = build_index(random_corpus(np.random.default_rng(7), 70), SPEC, similarity)
+        save_index_v1(index, tmp_path / "v1.idx")
+        loaded = load_index(tmp_path / "v1.idx")
+        assert loaded == index
+        assert loaded.matrix.tobytes() == index.matrix.tobytes()
+        assert loaded.matrix.flags.f_contiguous and not loaded.matrix.flags.writeable
+        # saved again, it becomes a version 2 file of the same index
+        save_index(loaded, tmp_path / "v2.idx")
+        assert struct.unpack_from("<I", (tmp_path / "v2.idx").read_bytes(), 4) == (2,)
+        assert load_index(tmp_path / "v2.idx") == index
+
+    def test_version_3_rejected(self, tmp_path):
+        path = tmp_path / "x.idx"
+        save_index(build_index(small_corpus(), SPEC, "dot"), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 4, 3)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IndexFormatError, match="unsupported index version 3"):
             load_index(path)
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
