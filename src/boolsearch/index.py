@@ -7,15 +7,13 @@ always broken by ascending doc id for total determinism.
 The index keeps its float32 matrix column-major and read-only. top_k runs
 in two stages. A float32 screen scores every row over only the columns
 where the query is nonzero, adding one contiguous column at a time
-(term-at-a-time scoring); a query nonzero in more than a fifth of the
-columns is screened by one BLAS product over the whole matrix instead. A
-rigorous bound on the screen's rounding error (Higham, Accuracy and
-Stability of Numerical Algorithms, section 3.1) keeps every row that could
-still belong to the top k. Survivors that hold only zeros in the query's
-columns, one of them of the query entry's sign, score exactly +0.0 and need
-no arithmetic; the others are scored again with the float64 per-row
-reduction that defines a score, so results are bit-identical to scoring
-and fully sorting every row.
+(term-at-a-time scoring). A rigorous bound on the screen's rounding error
+(Higham, Accuracy and Stability of Numerical Algorithms, section 3.1) keeps
+every row that could still belong to the top k. Survivors that hold only
+zeros in the query's columns, one of them of the query entry's sign, score
+exactly +0.0 and need no arithmetic; the others are scored again with the
+float64 per-row reduction that defines a score, so results are
+bit-identical to scoring and fully sorting every row.
 
 Index file layout (little-endian): magic "BDIX", u32 version, u8 similarity
 (0=dot, 1=cosine), u32 dim, u64 row count, u32-length-prefixed embedder-spec
@@ -49,10 +47,6 @@ FORMAT_VERSION = 2  # version 1 files still load
 SIMILARITIES = ("dot", "cosine")
 
 _CHUNK_ROWS = 1024  # rows per embedding batch
-# top_k screens a column at a time while the query's nonzero entries are at
-# most this share of the dim; past it one GEMV over the whole matrix is faster
-# (at 50k x 256 the two cost the same near 55 columns)
-_COLUMN_SCREEN_SHARE = 0.2
 
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
@@ -158,9 +152,11 @@ class Index:
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise BoolSearchError("index doc ids must be distinct")
         matrix = self.matrix
-        if matrix.flags.writeable or not matrix.flags.f_contiguous:
-            # a read-only copy of its own: no later write can skip the
-            # finiteness check or leave the row norm bound stale
+        if (matrix.flags.writeable or not matrix.flags.owndata
+                or not matrix.flags.f_contiguous):
+            # a read-only copy of its own, not a view of a writable base: no
+            # later write can skip the finiteness check or leave the row norm
+            # bound stale
             matrix = np.array(matrix, order="F")
             matrix.flags.writeable = False
             object.__setattr__(self, "matrix", matrix)
@@ -254,21 +250,14 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
     # entry adds an exact zero
     nz = np.flatnonzero(vec)
     terms = vec[nz]
+    screen = np.zeros(n, dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):  # eps is inf then
-        if len(nz) <= index.dim * _COLUMN_SCREEN_SHARE:
-            screen = np.zeros(n, dtype=np.float32)
-            for j, term in zip(nz, terms.astype(np.float32)):
-                screen += matrix[:, j] * term
-        else:
-            screen = matrix @ vec.astype(np.float32)
+        for j, term in zip(nz, terms.astype(np.float32)):
+            screen += matrix[:, j] * term
     kth = min(k, n)
-    # the maxima of kth blocks are kth distinct screens, so the kth largest
-    # screen is at least the least of them: partition the screens from that
-    # floor up or, if it is not positive, the positive screens, and every
-    # screen only when fewer than kth are positive
-    width = n // kth
-    floor = screen[: width * kth].reshape(kth, width).max(axis=1).min()
-    pool = screen[screen >= floor] if floor > 0 else screen[screen > 0]
+    # the k-th screen from the positive screens alone while at least kth are
+    # positive, else from every screen
+    pool = screen[screen > 0]
     if len(pool) < kth:
         pool = screen
     t = float(np.partition(pool, len(pool) - kth)[len(pool) - kth])
@@ -285,7 +274,7 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
         # order; rows of -0.0 that prove no +0.0 product are rescored
         at_zero = screen[cand] == 0
         zero = cand[at_zero]
-        block = matrix[:, nz][zero]
+        block = matrix[np.ix_(zero, nz)]
         proven = ~block.any(axis=1) & (np.signbit(block) == np.signbit(terms)).any(axis=1)
         free = zero[proven]
         if len(free) > k:  # tied at 0.0: only the k smallest ids can place

@@ -141,6 +141,15 @@ class TestBuildIndex:
             with pytest.raises(ValueError, match="read-only"):
                 index.matrix[0, 0] = 1.0
 
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        built = build_index(small_corpus(), SPEC, "dot")
+        base = np.array(built.matrix, order="F")
+        view = base.view()
+        view.flags.writeable = False
+        given = Index(built.doc_ids, view, "dot", SPEC, SPEC.fingerprint())
+        base[0, 0] = 5.0  # a write through the base must not reach the index
+        assert given == built
+
     def test_row_per_passage(self):
         index = build_index(small_corpus(), EmbedderSpec(dim=256), "dot")
         assert index.matrix.shape == (3, 256)
@@ -356,7 +365,7 @@ class TestTopK:
             "positive": [3.0, 0.0, 1.0] + [-0.0] * (dim - 3),
             "negative": [-0.0] * (dim - 2) + [-1.0, -2.0],
             "mixed": [1.0, -1.0] + [0.0, -0.0] * ((dim - 2) // 2),
-            # nonzero in a quarter of the columns: screened by one GEMV
+            # nonzero in a quarter of the columns
             "wide": [1.0, -2.0] * 4 + [-0.0] * (dim - 8),
             "negative-zero": [-0.0] * dim,
             "zero": [0.0] * dim,
