@@ -9,11 +9,17 @@ in two stages. A float32 screen scores every row over only the columns
 where the query is nonzero, adding one contiguous column at a time
 (term-at-a-time scoring). A rigorous bound on the screen's rounding error
 (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1) keeps
-every row that could still belong to the top k. Survivors that hold only
-zeros in the query's columns, one of them of the query entry's sign, score
-exactly +0.0 and need no arithmetic; the others are scored again with the
-float64 per-row reduction that defines a score, so results are
-bit-identical to scoring and fully sorting every row.
+every row that could still belong to the top k, measured from the k-th
+largest screen, which one sort of every screen gives. Survivors are scored
+again from the query's columns alone: the other products are zeros, which
+change a float64 sum only in the sign of a zero result, and that result is
+-0.0 only if every product is -0.0 (IEEE 754-2019 section 6.3). So a row
+with a nonzero product is summed with +0.0 in place of those zeros, in the
+per-row reduction order that defines a score; a row of zero products with
+one +0.0 among them, in the query's columns or proven off them by its count
+of entries of clear sign, scores +0.0 with no arithmetic; and a row of -0.0
+products only is summed whole. Results are bit-identical to scoring and
+fully sorting every row.
 
 Index file layout (little-endian): magic "BDIX", u32 version, u8 similarity
 (0=dot, 1=cosine), u32 dim, u64 row count, u32-length-prefixed embedder-spec
@@ -28,6 +34,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field, fields
@@ -129,6 +136,7 @@ class Index:
     # derived once here, never lazily: one Index is shared across threads
     _id_rank: np.ndarray = field(init=False, repr=False, compare=False)
     _row_norm_bound: float = field(init=False, repr=False, compare=False)
+    _sign_clear: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.similarity not in SIMILARITIES:
@@ -163,8 +171,10 @@ class Index:
         # float64 squared row norms, a column at a time; a float32 square
         # cannot overflow float64, so a non-finite sum means a non-finite entry
         sq_norms = np.zeros(len(self.doc_ids))
+        sign_set = np.zeros(len(self.doc_ids), dtype=np.int32)  # per row
         with np.errstate(invalid="ignore"):  # casting a signalling NaN warns
             for column in matrix.T:
+                sign_set += np.signbit(column)
                 column = column.astype(np.float64)
                 sq_norms += column * column
         if not np.isfinite(sq_norms).all():
@@ -173,6 +183,7 @@ class Index:
         ids = np.array(self.doc_ids, dtype=object)
         object.__setattr__(self, "_id_rank", np.argsort(np.argsort(ids)))
         object.__setattr__(self, "_row_norm_bound", math.sqrt(float(sq_norms.max())))
+        object.__setattr__(self, "_sign_clear", self.dim - sign_set)
 
     @property
     def dim(self) -> int:
@@ -255,37 +266,52 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
         for j, term in zip(nz, terms.astype(np.float32)):
             screen += matrix[:, j] * term
     kth = min(k, n)
-    # the k-th screen from the positive screens alone while at least kth are
-    # positive, else from every screen
-    pool = screen[screen > 0]
-    if len(pool) < kth:
-        pool = screen
-    t = float(np.partition(pool, len(pool) - kth)[len(pool) - kth])
+    t = float(np.sort(screen)[n - kth])  # the k-th largest screen
     # each of the kth rows screened >= t scores >= t - eps, so every row of
     # the true top k scores >= t - eps and screens >= t - 2 eps; the test is
     # inclusive, so rows tied at the boundary all survive
     threshold = _round_down_f32(t - 2.0 * eps)
     # "not below" also keeps NaN screens, so an unusable screen keeps all rows
     cand = np.flatnonzero(~(screen < threshold))
-    free = cand[:0]  # survivors whose score is +0.0 without arithmetic
-    if threshold <= 0:
-        # a row holding only zeros in the query's columns has only zero
-        # products, and one +0.0 product makes their float64 sum +0.0 in any
-        # order; rows of -0.0 that prove no +0.0 product are rescored
-        at_zero = screen[cand] == 0
-        zero = cand[at_zero]
-        block = matrix[np.ix_(zero, nz)]
-        proven = ~block.any(axis=1) & (np.signbit(block) == np.signbit(terms)).any(axis=1)
-        free = zero[proven]
-        if len(free) > k:  # tied at 0.0: only the k smallest ids can place
+    # a score is the pairwise float64 sum of a row's products with vec: an
+    # elementwise multiply and a sum over a C-ordered row, not a BLAS matmul,
+    # so its order is the same however many rows are scored. Off the query's
+    # columns the products are zeros, which change a sum only in the sign of
+    # a zero result, and that is -0.0 only if every product is -0.0 (IEEE
+    # 754-2019 section 6.3)
+    gathered = matrix[cand[:, None], nz]
+    prods = gathered.astype(np.float64) * terms
+    hit = prods.any(axis=1)
+    free = whole = cand[:0]
+    if not hit.all():
+        # a row of zero products scores +0.0 once one of them is +0.0: in
+        # the query's columns, or off them, where a query zero times a row
+        # entry of its own sign is +0.0; the row's count of entries of clear
+        # sign finds those when every query zero has one sign
+        miss = ~hit
+        zero = cand[miss]
+        plus = ~np.signbit(prods[miss]).all(axis=1)
+        signs = np.signbit(np.delete(vec, nz))
+        if not plus.all() and len(signs) and signs.all() == signs.any():
+            clear = index._sign_clear[zero] - (~np.signbit(gathered[miss])).sum(axis=1)
+            plus |= (len(signs) - clear if signs[0] else clear) > 0
+        free = zero[plus]
+        if len(free) > k:  # tied at +0.0: only the k smallest ids can place
             free = free[np.argpartition(index._id_rank[free], k - 1)[:k]]
-        cand = np.concatenate((cand[~at_zero], zero[~proven]))
-    # elementwise multiply + pairwise sum over C-ordered rows, not BLAS
-    # matmul: the reduction order is then identical to a per-row np.sum,
-    # keeping scores exactly reproducible however many rows are scored
-    scores = (matrix[cand].astype(np.float64, order="C") * vec).sum(axis=1)
-    cand = np.concatenate((cand, free))
-    scores = np.concatenate((scores, np.zeros(len(free))))
+        # rows of -0.0 products only are summed whole, so the sign of their
+        # zero never rests on the sum's start value
+        whole = zero[~plus]
+        cand, prods = cand[hit], prods[hit]
+    # a row with a nonzero product thus sums to the same bits with +0.0 in
+    # place of its other products
+    block = np.zeros((len(cand), index.dim))  # C-ordered
+    block[:, nz] = prods
+    cand = np.concatenate((cand, whole, free))
+    scores = np.concatenate((
+        block.sum(axis=1),
+        (matrix[whole].astype(np.float64, order="C") * vec).sum(axis=1),
+        np.zeros(len(free)),
+    ))
     # lexsort: last key is primary, so descending score then ascending id
     order = np.lexsort((index._id_rank[cand], -scores))[:k]
     return RankedList(
@@ -350,56 +376,68 @@ def load_index(path: str | Path, expected_spec: EmbedderSpec | None = None) -> I
     A fingerprint differing from expected_spec is not an error (the file
     is self-describing) but is surfaced in Index.load_warnings.
     """
+    header = 4 + struct.calcsize("<IBIQ")
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != MAGIC:
-        raise IndexFormatError(f"{path}: not an index file (bad magic header)")
-    try:
-        version, sim_code, dim, count = struct.unpack_from("<IBIQ", data, 4)
-        offset = 4 + struct.calcsize("<IBIQ")
-        if version not in (1, FORMAT_VERSION):
-            raise IndexFormatError(
-                f"{path}: unsupported index version {version} "
-                f"(expected 1 or {FORMAT_VERSION})"
-            )
-        if sim_code >= len(SIMILARITIES):
-            raise IndexFormatError(f"{path}: unknown similarity code {sim_code}")
-        (spec_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        spec_raw = json.loads(data[offset : offset + spec_len].decode("utf-8"))
-        offset += spec_len
-        fingerprint = data[offset : offset + 16].rstrip(b"\0").decode("ascii")
-        offset += 16
-        doc_ids = []
-        for _ in range(count):
-            (id_len,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            doc_ids.append(data[offset : offset + id_len].decode("utf-8"))
-            offset += id_len
-        payload_bytes = count * dim * 4
-        expected_bytes = payload_bytes + (4 if version == FORMAT_VERSION else 0)
-        if len(data) - offset != expected_bytes:
-            raise IndexFormatError(
-                f"{path}: matrix payload holds {len(data) - offset} bytes, "
-                f"expected {expected_bytes} (truncated or trailing data)"
-            )
-        payload = memoryview(data)[offset : offset + payload_bytes]
-        values = np.frombuffer(payload, dtype="<f4")
-        if version == 1:  # rows one after another
-            matrix = values.reshape(count, dim).copy(order="F")
-        else:
-            (stored,) = struct.unpack_from("<I", data, offset + payload_bytes)
-            computed = zlib.crc32(payload)
-            if computed != stored:
+        size = os.fstat(f.fileno()).st_size
+        data = f.read(header)
+        if data[:4] != MAGIC:
+            raise IndexFormatError(f"{path}: not an index file (bad magic header)")
+        try:
+            version, sim_code, dim, count = struct.unpack_from("<IBIQ", data, 4)
+            if version not in (1, FORMAT_VERSION):
                 raise IndexFormatError(
-                    f"{path}: matrix payload fails its CRC32 check "
-                    f"(stored {stored:08x}, computed {computed:08x})"
+                    f"{path}: unsupported index version {version} "
+                    f"(expected 1 or {FORMAT_VERSION})"
                 )
-            matrix = values.reshape(dim, count).T.copy(order="F")
-        matrix.flags.writeable = False
-    # ValueError covers undecodable UTF-8 and JSON, and integers too long to read
-    except (struct.error, ValueError, RecursionError) as exc:
-        raise IndexFormatError(f"{path}: corrupt index file: {exc}") from None
+            if sim_code >= len(SIMILARITIES):
+                raise IndexFormatError(f"{path}: unknown similarity code {sim_code}")
+            payload_bytes = count * dim * 4
+            expected_bytes = payload_bytes + (4 if version == FORMAT_VERSION else 0)
+            if size - header < expected_bytes:
+                raise IndexFormatError(
+                    f"{path}: {size} bytes are too few for a {count} x {dim} "
+                    "matrix payload (truncated)"
+                )
+            # the spec, fingerprint and doc ids fill the file up to the payload
+            data += f.read(size - header - expected_bytes)
+            offset = header
+            (spec_len,) = struct.unpack_from("<I", data, offset)
+            offset += 4
+            spec_raw = json.loads(data[offset : offset + spec_len].decode("utf-8"))
+            offset += spec_len
+            fingerprint = data[offset : offset + 16].rstrip(b"\0").decode("ascii")
+            offset += 16
+            doc_ids = []
+            for _ in range(count):
+                (id_len,) = struct.unpack_from("<I", data, offset)
+                offset += 4
+                doc_ids.append(data[offset : offset + id_len].decode("utf-8"))
+                offset += id_len
+            if size - offset != expected_bytes:
+                raise IndexFormatError(
+                    f"{path}: matrix payload holds {size - offset} bytes, "
+                    f"expected {expected_bytes} (truncated or trailing data)"
+                )
+            # read straight into an array of the file's layout: rows one after
+            # another in version 1, columns in version 2
+            matrix = np.empty((count, dim), dtype="<f4", order="C" if version == 1 else "F")
+            payload = matrix if version == 1 else matrix.T
+            if f.readinto(payload) != payload_bytes:
+                raise IndexFormatError(f"{path}: matrix payload is truncated")
+            if version == 1:
+                matrix = np.asfortranarray(matrix)
+            else:
+                (stored,) = struct.unpack("<I", f.read(4))
+                computed = zlib.crc32(payload)
+                if computed != stored:
+                    raise IndexFormatError(
+                        f"{path}: matrix payload fails its CRC32 check "
+                        f"(stored {stored:08x}, computed {computed:08x})"
+                    )
+            matrix.flags.writeable = False
+        # ValueError covers undecodable UTF-8 and JSON, and integers too long to read
+        except (struct.error, ValueError, RecursionError) as exc:
+            raise IndexFormatError(f"{path}: corrupt index file: {exc}") from None
     warnings: tuple[str, ...] = ()
     if expected_spec is not None and expected_spec.fingerprint() != fingerprint:
         message = (

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 import warnings
 import zlib
 
@@ -335,14 +336,19 @@ class TestTopK:
     @pytest.mark.parametrize("similarity", SIMILARITIES)
     def test_dense_rows_and_queries_match_oracle(self, scripted, similarity):
         # a remote embedder's vectors: every entry nonzero, so the screen
-        # runs over every column (nnz = dim)
+        # runs over every column (nnz = dim); then queries nonzero in a few
+        # scattered columns, whose products are rescored from those columns
+        # alone and must still be summed in the whole row's order
         rng = np.random.default_rng(41)
         matrix = rng.standard_normal((3000, 48))
         if similarity == "cosine":
             matrix = normalize_rows(matrix)
         index = scripted.index(matrix, similarity)
-        for q in range(6):
-            scripted.vectors[f"q{q}"] = rng.standard_normal(48).tolist()
+        for q in range(12):
+            vec = rng.standard_normal(48)
+            if q >= 6:
+                vec[rng.permutation(48)[: 48 - q]] = 0.0
+            scripted.vectors[f"q{q}"] = vec.tolist()
             for k in (1, 10, 250, 3000, 3001):
                 assert_matches_oracle(index, f"q{q}", k)
 
@@ -391,6 +397,68 @@ class TestTopK:
         scripted.vectors["q"] = [1.0, 1.0, 1.0] + [0.0] * 13
         for k in (1, 6, 10, 206):
             assert_matches_oracle(index, "q", k)
+
+    @pytest.mark.parametrize("zeros", ["+0.0", "-0.0", "mixed", "none"])
+    def test_zero_products_match_oracle(self, scripted, zeros):
+        # planted rows against a query nonzero in columns 0-2, whose other
+        # entries are zeros of one sign, of both, or absent: products that
+        # cancel exactly to +0.0 beside nonzero entries elsewhere, rows of
+        # -0.0 products with and without a +0.0 product off the query's
+        # columns, and heavily tied screens with fewer than k positive
+        rng = np.random.default_rng(61)
+        n, dim = 600, 16
+        fill = {"+0.0": [0.0], "-0.0": [-0.0], "mixed": [0.0, -0.0], "none": [0.5, -0.25]}
+        scripted.vectors["q"] = [1.0, -1.0, 2.0] + [fill[zeros][i % len(fill[zeros])]
+                                                    for i in range(dim - 3)]
+        in_query = [
+            [3.0, 1.0, -1.0],  # products 3, -1, -2: cancel to +0.0
+            [-2.0, 0.0, 1.0],  # -2, -0.0, 2: cancel to +0.0
+            [-0.0, 0.0, -0.0],  # only -0.0 products
+            [0.0, 0.0, -0.0],  # one +0.0 product among them
+            [0.0, 1.0, 0.0],  # -1: a negative screen
+            [1.0, -0.0, 1.0],  # 3: one of few positive screens
+        ]
+        off_query = {
+            "positive": lambda size: rng.integers(1, 4, size),
+            "negative": lambda size: -rng.integers(1, 4, size),
+            "+0.0": lambda size: np.zeros(size),
+            "-0.0": lambda size: np.full(size, -0.0),
+            "any": lambda size: rng.choice([2.0, -2.0, 0.0, -0.0], size),
+        }
+        kinds = list(off_query)
+        matrix = np.empty((n, dim))
+        for i in range(n):
+            pattern = 5 if i < 8 else int(rng.integers(0, 5))
+            matrix[i, :3] = in_query[pattern]
+            matrix[i, 3:] = off_query[kinds[int(rng.integers(0, len(kinds)))]](dim - 3)
+        index = scripted.index(matrix, "dot")
+        for k in (1, 8, 9, 40, 300, n, n + 2):
+            assert_matches_oracle(index, "q", k)
+
+    def test_zero_band_of_negative_zero_products_reads_no_full_rows(self, scripted):
+        # a one-word query of negative sign whose bucket no row uses: every
+        # product in its column is -0.0, and every row survives the screen;
+        # a +0.0 product elsewhere proves a row's +0.0 score without reading
+        # the row, so the call allocates far less than the matrix
+        rng = np.random.default_rng(67)
+        n, dim = 20_000, 64
+        matrix = rng.integers(0, 3, size=(n, dim)) * (rng.random((n, dim)) < 0.1)
+        matrix = matrix.astype(np.float64)
+        matrix[:, 0] = 0.0
+        matrix[:50, 1:] = -rng.integers(0, 3, size=(50, dim - 1))  # no +0.0 product
+        matrix[:50][matrix[:50] == 0] = -0.0
+        index = scripted.index(matrix, "dot")
+        scripted.vectors["q"] = [-1.0] + [0.0] * (dim - 1)
+        for k in (10, 60, n):
+            assert_matches_oracle(index, "q", k)
+        top_k(index, "q", 10)  # the embedding client's first-call state
+        tracemalloc.start()
+        try:
+            top_k(index, "q", 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < index.matrix.nbytes
 
     def test_zero_band_on_100k_rows(self):
         # 100k rows of 1-3 words of 400: a one-word query shares a bucket
@@ -585,6 +653,24 @@ class TestPersistence:
         path.write_bytes(bytes(blob))
         with pytest.raises(IndexFormatError, match="unsupported index version 3"):
             load_index(path)
+
+    def test_load_reads_the_payload_straight_into_the_matrix(self, tmp_path):
+        # the payload is not held as bytes beside the matrix, so loading
+        # peaks near the matrix's own size
+        rng = np.random.default_rng(71)
+        spec = EmbedderSpec(dim=256)
+        matrix = rng.standard_normal((4000, 256)).astype(np.float32)
+        index = Index(tuple(f"d{i}" for i in range(4000)), matrix, "dot", spec,
+                      spec.fingerprint())
+        save_index(index, tmp_path / "x.idx")
+        tracemalloc.start()
+        try:
+            loaded = load_index(tmp_path / "x.idx")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == index
+        assert peak < 1.5 * index.matrix.nbytes
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
         path = tmp_path / "x.idx"
