@@ -13,7 +13,7 @@ import json
 import os
 import secrets
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -200,7 +200,9 @@ def _parse_corpus_line(line: str) -> Passage:
     if line.lstrip().startswith("{"):
         try:
             record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        # ValueError covers JSONDecodeError and integers too long to read;
+        # RecursionError, JSON nested too deeply
+        except (ValueError, RecursionError) as exc:
             raise CorpusFormatError(f"invalid JSON: {exc}") from None
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise CorpusFormatError('JSON record must have "id" and "text"')
@@ -254,7 +256,7 @@ def load_judgments(path: str | Path, corpus: Corpus | None = None) -> list[Judgm
             continue
         try:
             record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        except (ValueError, RecursionError) as exc:  # as in _parse_corpus_line
             raise JudgmentFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
         try:
             judgment = judgment_from_record(record)
@@ -345,9 +347,9 @@ def render_stats(stats: DatasetStats, fmt: str = "table") -> str:
     """Render dataset statistics as an aligned text table or JSON."""
     if fmt == "json":
         payload = {
-            "overall": _stats_dict(stats.overall),
+            "overall": asdict(stats.overall),
             "per_type": {
-                t.value: _stats_dict(s)
+                t.value: asdict(s)
                 for t, s in stats.per_type.items()
                 if s.n_questions > 0
             },
@@ -367,14 +369,6 @@ def render_stats(stats: DatasetStats, fmt: str = "table") -> str:
         hist = ", ".join(f"{k}={v}" for k, v in stats.categories.items())
         lines.append(f"categories: {hist}")
     return "\n".join(lines)
-
-
-def _stats_dict(s: TypeStats) -> dict:
-    return {
-        "n_questions": s.n_questions,
-        "avg_positives": s.avg_positives,
-        "avg_negatives": s.avg_negatives,
-    }
 
 
 def _stats_row(label: str, s: TypeStats) -> tuple[str, str, str, str]:

@@ -33,7 +33,7 @@ from .data import (
     compute_stats,
     read_lines,
 )
-from .embed import EmbedderSpec, embed_texts, tokenize
+from .embed import EmbedderSpec, embed_texts, normalize_rows, tokenize
 from .errors import ChatError, GenerationError
 from .query import And, Atom, Not, Or, render
 
@@ -51,6 +51,10 @@ class Cluster:
     passage_ids: tuple[str, ...]
 
     def __post_init__(self):
+        if type(self.cluster_id) is not int or self.cluster_id < 0:
+            raise GenerationError(
+                f"cluster id must be a non-negative integer, got {self.cluster_id!r}"
+            )
         if not self.passage_ids:
             raise GenerationError(f"cluster {self.cluster_id} is empty")
         if len(set(self.passage_ids)) != len(self.passage_ids):
@@ -279,13 +283,8 @@ def _randomized_row_basis(sample: np.ndarray, rank: int, rng) -> np.ndarray:
 def cosine_distances(rows: np.ndarray) -> np.ndarray:
     """Pairwise 1 - cosine similarity; zero rows are treated as maximally
     distant (distance 1) from everything."""
-    norms = np.linalg.norm(rows, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    unit = rows / safe[:, None]
-    sims = unit @ unit.T
-    zero = norms == 0.0
-    sims[zero, :] = 0.0
-    sims[:, zero] = 0.0
+    unit = normalize_rows(rows)
+    sims = unit @ unit.T  # a zero row's similarities are zeros: distance 1
     return np.subtract(1.0, sims, out=sims)
 
 
@@ -761,6 +760,12 @@ def generate_questions(
 ) -> list[GeneratedQuestion]:
     """Visit clusters round-robin until n_per_type AND, OR, and NOT
     questions exist; every visit also yields the atomic questions."""
+    unknown = [pid for c in clusters for pid in c.passage_ids if pid not in corpus]
+    if unknown:
+        raise GenerationError(
+            f"clusters name {len(unknown)} passage id(s) not in the corpus, "
+            f"such as {unknown[0]!r}"
+        )
     eligible = [c for c in clusters if len(c.passage_ids) >= 2]
     if not eligible:
         raise GenerationError("no cluster has 2 or more passages")
@@ -880,7 +885,8 @@ def load_questions(path: str | Path) -> list[GeneratedQuestion]:
                     ),
                 )
             )
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        # OverflowError: a float source_cluster too large for an int
+        except (ValueError, OverflowError, KeyError, TypeError, RecursionError) as exc:
             raise GenerationError(f"{path}:{lineno}: {exc}") from None
     return questions
 
@@ -901,5 +907,5 @@ def load_clusters(path: str | Path) -> list[Cluster]:
             Cluster(cluster_id=raw["cluster_id"], passage_ids=tuple(raw["passage_ids"]))
             for raw in payload
         ]
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError, GenerationError) as exc:
         raise GenerationError(f"{path}: malformed clusters file: {exc!r}") from None

@@ -39,7 +39,7 @@ import struct
 import zlib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -59,53 +59,46 @@ _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
 
 
-@dataclass(frozen=True)
-class ScoredDoc:
+class ScoredDoc(NamedTuple):
     doc_id: str
     score: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise BoolSearchError(f"non-finite score for doc {self.doc_id!r}")
-
 
 class RankedList:
-    """Ordered retrieval result: scores non-increasing, ids distinct,
-    equal scores ordered by ascending doc id."""
+    """Ordered retrieval result: scores finite and non-increasing, ids
+    distinct, equal scores ordered by ascending doc id. The constructor is
+    the one place these are checked."""
 
     __slots__ = ("items",)
 
     def __init__(self, items: Iterable[ScoredDoc]):
         self.items = tuple(items)
         seen: set[str] = set()
-        for i, item in enumerate(self.items):
-            if item.doc_id in seen:
-                raise BoolSearchError(f"duplicate doc id {item.doc_id!r} in ranked list")
-            seen.add(item.doc_id)
-            if i > 0:
-                prev = self.items[i - 1]
-                if item.score > prev.score:
-                    raise BoolSearchError("ranked list scores must be non-increasing")
-                if item.score == prev.score and item.doc_id < prev.doc_id:
-                    raise BoolSearchError(
-                        "ranked list ties must be ordered by ascending doc id"
-                    )
+        prev_id, prev_score = "", math.inf
+        for doc_id, score in self.items:
+            if not math.isfinite(score):
+                raise BoolSearchError(f"non-finite score for doc {doc_id!r}")
+            if doc_id in seen:
+                raise BoolSearchError(f"duplicate doc id {doc_id!r} in ranked list")
+            seen.add(doc_id)
+            if score > prev_score:
+                raise BoolSearchError("ranked list scores must be non-increasing")
+            if score == prev_score and doc_id < prev_id:
+                raise BoolSearchError("ranked list ties must be ordered by ascending doc id")
+            prev_id, prev_score = doc_id, score
 
     @classmethod
     def from_scores(cls, pairs: Iterable[tuple[str, float]]) -> "RankedList":
         """Sort (doc_id, score) pairs by descending score, breaking ties
         by ascending doc id."""
         ordered = sorted(pairs, key=lambda p: (-p[1], p[0]))
-        return cls(ScoredDoc(doc_id, score) for doc_id, score in ordered)
+        return cls(map(ScoredDoc._make, ordered))
 
     def truncate(self, k: int) -> "RankedList":
         return RankedList(self.items[:k])
 
     def doc_ids(self) -> tuple[str, ...]:
         return tuple(item.doc_id for item in self.items)
-
-    def scores(self) -> dict[str, float]:
-        return {item.doc_id: item.score for item in self.items}
 
     def __len__(self) -> int:
         return len(self.items)
@@ -115,9 +108,6 @@ class RankedList:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RankedList) and self.items == other.items
-
-    def __hash__(self) -> int:
-        return hash(self.items)
 
     def __repr__(self) -> str:
         return f"RankedList({list(self.items)!r})"
@@ -314,9 +304,9 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
     ))
     # lexsort: last key is primary, so descending score then ascending id
     order = np.lexsort((index._id_rank[cand], -scores))[:k]
-    return RankedList(
-        ScoredDoc(index.doc_ids[cand[i]], float(scores[i])) for i in order
-    )
+    # Python floats, not numpy scalars: a score's repr is part of the output
+    ids = [index.doc_ids[i] for i in cand[order].tolist()]
+    return RankedList(map(ScoredDoc, ids, scores[order].tolist()))
 
 
 def _screen_error(dim: int, row_norm_bound: float, vec_norm: float) -> float:

@@ -10,7 +10,7 @@ it measures failure to exclude negated content.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import AbstractSet, Mapping, Sequence
 
@@ -160,21 +160,12 @@ def _table_row(cells: list[str]) -> str:
     return " | ".join(f"{cell:>13}" for cell in cells)
 
 
-def _slice_payload(s: MetricSlice) -> dict:
-    return {
-        "n_questions": s.n_questions,
-        "n_with_negatives": s.n_with_negatives,
-        "mrr": s.mrr,
-        "neg_recall": s.neg_recall,
-    }
-
-
 def _report_payload(report: EvalReport) -> dict:
     return {
         "k": report.k,
-        "overall": _slice_payload(report.overall),
+        "overall": asdict(report.overall),
         "per_type": {
-            t.value: _slice_payload(s) for t, s in report.per_type.items()
+            t.value: asdict(s) for t, s in report.per_type.items()
         },
         "missing_questions": list(report.missing_questions),
     }
@@ -213,7 +204,9 @@ def load_run(path: str | Path) -> dict[str, RankedList]:
                 ScoredDoc(str(item["doc_id"]), float(item["score"]))
                 for item in record["items"]
             )
-        except (ValueError, KeyError, TypeError, RecursionError, BoolSearchError) as exc:
+        # OverflowError: an integer score too large for a float
+        except (ValueError, OverflowError, KeyError, TypeError, RecursionError,
+                BoolSearchError) as exc:
             raise RunFormatError(f"{path}:{lineno}: {exc}") from None
         if question_id in run:
             raise RunFormatError(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .chat import ChatClient
 from .errors import BoolSearchError, DecompositionError, QuerySyntaxError
-from .index import Index, RankedList, ScoredDoc
+from .index import Index, RankedList
 from .index import top_k as _index_top_k
 
 NOT_MODES = ("hard", "soft")
@@ -249,22 +249,18 @@ def atoms(expr: BooleanExpr) -> list[str]:
 
 def merge_and(a: RankedList, b: RankedList) -> RankedList:
     """Intersection; surviving docs score the sum of both lists' scores."""
-    scores_b = b.scores()
+    scores_b = {doc_id: score for doc_id, score in b.items}
     return RankedList.from_scores(
-        (item.doc_id, item.score + scores_b[item.doc_id])
-        for item in a
-        if item.doc_id in scores_b
+        (doc_id, score + scores_b[doc_id]) for doc_id, score in a.items if doc_id in scores_b
     )
 
 
 def merge_or(a: RankedList, b: RankedList) -> RankedList:
     """Union; each doc scores the max over the lists containing it."""
-    merged = a.scores()
-    for item in b:
-        if item.doc_id in merged:
-            merged[item.doc_id] = max(merged[item.doc_id], item.score)
-        else:
-            merged[item.doc_id] = item.score
+    merged = {doc_id: score for doc_id, score in a.items}
+    for doc_id, score in b.items:
+        # max(old, new) keeps the old score on a tie, so a tied zero keeps its sign
+        merged[doc_id] = max(merged[doc_id], score) if doc_id in merged else score
     return RankedList.from_scores(merged.items())
 
 
@@ -273,11 +269,11 @@ def merge_not(a: RankedList, b: RankedList, mode: str = "hard") -> RankedList:
     keeping scores; soft mode keeps all of a with b's score subtracted."""
     if mode not in NOT_MODES:
         raise BoolSearchError(f"unknown not_mode {mode!r}")
-    scores_b = b.scores()
+    scores_b = {doc_id: score for doc_id, score in b.items}
     if mode == "hard":
-        return RankedList(item for item in a if item.doc_id not in scores_b)
+        return RankedList(item for item in a.items if item.doc_id not in scores_b)
     return RankedList.from_scores(
-        (item.doc_id, item.score - scores_b.get(item.doc_id, 0.0)) for item in a
+        (doc_id, score - scores_b.get(doc_id, 0.0)) for doc_id, score in a.items
     )
 
 
@@ -298,14 +294,15 @@ def whole_query_retrieve(index: Index, question: str, k: int) -> RankedList:
 def _min_max_normalize(ranked: RankedList) -> RankedList:
     if len(ranked) == 0:
         return ranked
-    values = [item.score for item in ranked]
+    # min and max, not the last and first items: in [5.0, 0.0, -0.0] the
+    # last is -0.0 but min is 0.0, and subtracting -0.0 flips a zero's sign
+    values = [score for _, score in ranked.items]
     low, high = min(values), max(values)
-    if low == high:
-        return RankedList(ScoredDoc(item.doc_id, 1.0) for item in ranked)
     # scaling can round adjacent scores onto one value; re-sort so the
     # collapsed ties take the ascending-id order
     return RankedList.from_scores(
-        (item.doc_id, (item.score - low) / (high - low)) for item in ranked
+        (doc_id, (score - low) / (high - low) if high > low else 1.0)
+        for doc_id, score in ranked.items
     )
 
 

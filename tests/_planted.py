@@ -12,14 +12,15 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from boolsearch.data import Corpus, Passage
 from boolsearch.embed import tokenize
-from boolsearch.errors import GenerationError
+from boolsearch.errors import BoolSearchError, GenerationError
 from boolsearch.generate import Cluster, cosine_distances
 from boolsearch.index import MAGIC, SIMILARITIES, Index, embed_query
 from boolsearch.query import And, Atom, Not, Or
@@ -265,3 +266,116 @@ def marco_replica_judgments():
     for i in range(328):
         add(QuestionType.NOT, i, 2 if i < 43 else 1, 1 if i < 226 else 0)
     return judgments
+
+
+# ---------------------------------------------------------------------------
+# Ranked lists as they were when every item checked its own score and every
+# merge rebuilt a scores() dict: the oracle for RankedList's one checker and
+# the merges that read lists directly.
+
+
+@dataclass(frozen=True)
+class OracleScoredDoc:
+    doc_id: str
+    score: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.score):
+            raise BoolSearchError(f"non-finite score for doc {self.doc_id!r}")
+
+
+class OracleRankedList:
+    __slots__ = ("items",)
+
+    def __init__(self, items: Iterable[OracleScoredDoc]):
+        self.items = tuple(items)
+        seen: set[str] = set()
+        for i, item in enumerate(self.items):
+            if item.doc_id in seen:
+                raise BoolSearchError(f"duplicate doc id {item.doc_id!r} in ranked list")
+            seen.add(item.doc_id)
+            if i > 0:
+                prev = self.items[i - 1]
+                if item.score > prev.score:
+                    raise BoolSearchError("ranked list scores must be non-increasing")
+                if item.score == prev.score and item.doc_id < prev.doc_id:
+                    raise BoolSearchError(
+                        "ranked list ties must be ordered by ascending doc id"
+                    )
+
+    @classmethod
+    def from_scores(cls, pairs: Iterable[tuple[str, float]]) -> "OracleRankedList":
+        ordered = sorted(pairs, key=lambda p: (-p[1], p[0]))
+        return cls(OracleScoredDoc(doc_id, score) for doc_id, score in ordered)
+
+    def scores(self) -> dict[str, float]:
+        return {item.doc_id: item.score for item in self.items}
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return iter(self.items)
+
+
+def oracle_merge_and(a: OracleRankedList, b: OracleRankedList) -> OracleRankedList:
+    scores_b = b.scores()
+    return OracleRankedList.from_scores(
+        (item.doc_id, item.score + scores_b[item.doc_id])
+        for item in a
+        if item.doc_id in scores_b
+    )
+
+
+def oracle_merge_or(a: OracleRankedList, b: OracleRankedList) -> OracleRankedList:
+    merged = a.scores()
+    for item in b:
+        if item.doc_id in merged:
+            merged[item.doc_id] = max(merged[item.doc_id], item.score)
+        else:
+            merged[item.doc_id] = item.score
+    return OracleRankedList.from_scores(merged.items())
+
+
+def oracle_merge_not(
+    a: OracleRankedList, b: OracleRankedList, mode: str = "hard"
+) -> OracleRankedList:
+    scores_b = b.scores()
+    if mode == "hard":
+        return OracleRankedList(item for item in a if item.doc_id not in scores_b)
+    return OracleRankedList.from_scores(
+        (item.doc_id, item.score - scores_b.get(item.doc_id, 0.0)) for item in a
+    )
+
+
+def oracle_min_max_normalize(ranked: OracleRankedList) -> OracleRankedList:
+    if len(ranked) == 0:
+        return ranked
+    values = [item.score for item in ranked]
+    low, high = min(values), max(values)
+    if low == high:
+        return OracleRankedList(OracleScoredDoc(item.doc_id, 1.0) for item in ranked)
+    return OracleRankedList.from_scores(
+        (item.doc_id, (item.score - low) / (high - low)) for item in ranked
+    )
+
+
+def scored_pairs(merge_inputs: bool = False):
+    """Hypothesis strategy: (doc_id, score) lists heavy in ties, signed
+    zeros and ids ending in NUL. Lists for the merges hold distinct ids and
+    finite scores; the others also repeat ids and hold NaN and infinities."""
+    ids = st.sampled_from(["a", "a\x00", "b", "b\x00", "c", "", "\x00"])
+    ties = [0.0, -0.0, 1.0, -1.0, 0.5, 5.0, 1e308, -1e308, 5e-324]
+    if merge_inputs:
+        scores = st.sampled_from(ties) | st.floats(allow_nan=False, allow_infinity=False)
+        return st.lists(st.tuples(ids, scores), max_size=8, unique_by=lambda p: p[0])
+    scores = st.sampled_from(ties + [math.nan, math.inf, -math.inf]) | st.floats()
+    return st.lists(st.tuples(ids, scores), max_size=8)
+
+
+def ranked_outcome(make):
+    """A built list as (doc_id, score repr) pairs, or "rejected"."""
+    try:
+        return [(item.doc_id, repr(item.score)) for item in make()]
+    except BoolSearchError:
+        return "rejected"

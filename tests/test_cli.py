@@ -261,6 +261,26 @@ class TestGenCommands:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and str(clusters) in err
 
+    @pytest.mark.parametrize("cluster_id, member", [
+        ('"x"', None), ("1.5", None), ("-3", None), ("true", None), ("0", "zz"),
+    ])
+    def test_malformed_clusters_fail_typed_before_generating(
+        self, capsys, tmp_path, corpus_file, cluster_id, member
+    ):
+        corpus, _ = planted_corpus(n_clusters=3, per_cluster=4)
+        ids = list(corpus.ids[:4]) + ([member] if member else [])
+        clusters = tmp_path / "clusters.json"
+        clusters.write_text(f'[{{"cluster_id": {cluster_id}, "passage_ids": {json.dumps(ids)}}}]')
+        out_path = tmp_path / "q.jsonl"
+        code, out, err = run_cli(
+            capsys, "gen", "questions", "--corpus", str(corpus_file),
+            "--clusters", str(clusters), "--out", str(out_path), "--mode", "template",
+        )
+        assert code == 2 and not out_path.exists()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "unexpected" not in err
+        assert (repr(member) if member else str(clusters)) in err
+
     def test_corrupt_cassette_line_is_runtime_error(
         self, capsys, tmp_path, corpus_file
     ):

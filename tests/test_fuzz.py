@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from boolsearch.data import Corpus, Passage, load_corpus, load_judgments
 from boolsearch.embed import EmbedderSpec
 from boolsearch.errors import BoolSearchError, IndexFormatError
+from boolsearch.generate import load_clusters, load_questions
 from boolsearch.index import Index, build_index, load_index, save_index
 from boolsearch.metrics import load_run
 from boolsearch.query import parse_boolean_query
@@ -74,6 +75,35 @@ RUN_RECORDS = st.one_of(
     }).map(json.dumps),
 )
 
+QUESTION_FIELDS = ("question_id", "qtype", "text", "source_cluster", "candidate_ids",
+                   "positives", "negatives", "provenance", "filtered")
+QUESTION_RECORDS = st.one_of(
+    records(*QUESTION_FIELDS, "expression", "answer_token_groups"),
+    st.fixed_dictionaries({
+        "question_id": st.text(max_size=4),
+        "qtype": st.sampled_from(["AND", "OR", "NOT", "SIMPLE", "XOR"]),
+        "text": JSON_VALUES,
+        "source_cluster": JSON_VALUES,
+        "candidate_ids": st.lists(JSON_VALUES, max_size=3),
+        "positives": st.lists(JSON_VALUES, max_size=3),
+        "negatives": st.lists(JSON_VALUES, max_size=3),
+        "provenance": st.sampled_from(["template", "chat-model", "x"]),
+        "filtered": JSON_VALUES,
+    }, optional={"answer_token_groups": JSON_VALUES}).map(json.dumps),
+)
+CLUSTER_RECORDS = st.one_of(
+    st.fixed_dictionaries({}, optional={"cluster_id": JSON_VALUES, "passage_ids": JSON_VALUES}),
+    st.fixed_dictionaries({
+        "cluster_id": st.one_of(st.integers(), JSON_VALUES),
+        "passage_ids": st.lists(st.one_of(st.text(max_size=4), JSON_VALUES), max_size=3),
+    }),
+)
+
+# integers json.loads will not read (more than 4,300 digits), and ones no
+# float can hold
+LONG_INT = b"1" * 4301
+HUGE_INT = b"1" * 401
+
 
 def only_typed_errors(load, path, blob):
     path.write_bytes(blob)
@@ -89,6 +119,7 @@ DEEP = b"[" * 100_000  # json.loads raises RecursionError, not JSONDecodeError
 @FUZZ
 @given(blob=lines(CORPUS_RECORDS))
 @example(blob=b'{"id": ' + DEEP)
+@example(blob=b'{"id": ' + LONG_INT + b', "text": "x"}')
 def test_load_corpus(tmp_path, blob):
     only_typed_errors(load_corpus, tmp_path / "corpus.jsonl", blob)
 
@@ -97,6 +128,7 @@ def test_load_corpus(tmp_path, blob):
 @given(blob=lines(JUDGMENT_RECORDS))
 @example(blob=DEEP)
 @example(blob=b"null")
+@example(blob=b'{"question_id": ' + LONG_INT + b"}")
 def test_load_judgments(tmp_path, blob):
     only_typed_errors(load_judgments, tmp_path / "judgments.jsonl", blob)
 
@@ -105,8 +137,38 @@ def test_load_judgments(tmp_path, blob):
 @given(blob=lines(RUN_RECORDS))
 @example(blob=DEEP)
 @example(blob=b'{"question_id": [], "items": []}')
+@example(blob=b'{"question_id": "q", "items": [{"doc_id": "d", "score": ' + HUGE_INT + b"}]}")
 def test_load_run(tmp_path, blob):
     only_typed_errors(load_run, tmp_path / "run.jsonl", blob)
+
+
+@FUZZ
+@given(blob=lines(QUESTION_RECORDS))
+@example(blob=DEEP)
+@example(blob=b'{"question_id": "q", "qtype": "AND", "text": "t", "source_cluster": 1e999}')
+def test_load_questions(tmp_path, blob):
+    only_typed_errors(load_questions, tmp_path / "questions.jsonl", blob)
+
+
+@FUZZ
+@given(blob=st.one_of(
+    st.binary(max_size=300),
+    st.lists(CLUSTER_RECORDS, max_size=4).map(lambda c: json.dumps(c).encode("utf-8")),
+))
+@example(blob=DEEP)
+@example(blob=b'[{"cluster_id": "x", "passage_ids": ["a"]}]')
+@example(blob=b'[{"cluster_id": 1.5, "passage_ids": ["a"]}]')
+@example(blob=b'[{"cluster_id": -3, "passage_ids": ["a"]}]')
+@example(blob=b'[{"cluster_id": true, "passage_ids": ["a"]}]')
+def test_load_clusters(tmp_path, blob):
+    path = tmp_path / "clusters.json"
+    path.write_bytes(blob)
+    try:
+        clusters = load_clusters(path)
+    except BoolSearchError:
+        return
+    # a cluster id names question ids and seeds sampling: a non-negative int
+    assert all(type(c.cluster_id) is int and c.cluster_id >= 0 for c in clusters)
 
 
 QUERY_PIECES = st.sampled_from(['"', "(", ")", " AND ", " OR ", " NOT ", "AND", "x", " ", "\\"])

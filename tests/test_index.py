@@ -6,6 +6,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolsearch.data import Corpus, Passage
 from boolsearch.embed import EmbedderSpec, hashed_bow_embed, normalize_rows
@@ -22,7 +24,16 @@ from boolsearch.index import (
     top_k,
 )
 
-from _planted import oracle_top_k, random_corpus, random_query, save_index_v1
+from _planted import (
+    OracleRankedList,
+    OracleScoredDoc,
+    oracle_top_k,
+    random_corpus,
+    random_query,
+    ranked_outcome,
+    save_index_v1,
+    scored_pairs,
+)
 from _server import ScriptedServer
 
 SPEC = EmbedderSpec(kind="hashed-bow", dim=64, normalize=False, seed=9)
@@ -112,8 +123,23 @@ class TestRankedList:
         assert ranked.doc_ids() == ("c", "a", "b")
 
     def test_non_finite_score_rejected(self):
-        with pytest.raises(BoolSearchError):
-            ScoredDoc("a", float("nan"))
+        with pytest.raises(BoolSearchError, match="non-finite"):
+            RankedList([ScoredDoc("a", float("nan"))])
+
+    @settings(max_examples=500, deadline=None)
+    @given(pairs=scored_pairs(), presort=st.booleans())
+    def test_accepts_exactly_what_the_oracle_accepts(self, pairs, presort):
+        if presort:  # most unsorted lists are rejected on order alone
+            pairs.sort(key=lambda p: (-p[1], p[0]))
+        got = ranked_outcome(lambda: RankedList(ScoredDoc(*p) for p in pairs))
+        want = ranked_outcome(
+            lambda: OracleRankedList(OracleScoredDoc(*p) for p in pairs)
+        )
+        assert got == want
+
+    def test_scored_doc_checks_nothing_itself(self):
+        assert ScoredDoc("a", float("inf")) == ("a", float("inf"))
+        assert repr(ScoredDoc("a", 1.0)) == "ScoredDoc(doc_id='a', score=1.0)"
 
 
 class TestBuildIndex:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolsearch.chat import ChatClient, request_hash
@@ -31,7 +31,17 @@ from boolsearch.query import (
     whole_query_retrieve,
 )
 
-from _planted import oracle_evaluate_full_depth, random_expression
+from _planted import (
+    OracleRankedList,
+    oracle_evaluate_full_depth,
+    oracle_merge_and,
+    oracle_merge_not,
+    oracle_merge_or,
+    oracle_min_max_normalize,
+    random_expression,
+    ranked_outcome,
+    scored_pairs,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -178,6 +188,24 @@ class TestMergeAlgebra:
             assert merge_and(a, b) == merge_and(b, a)
             assert merge_or(a, b) == merge_or(b, a)
 
+    @settings(max_examples=500, deadline=None)
+    @given(a_pairs=scored_pairs(merge_inputs=True), b_pairs=scored_pairs(merge_inputs=True))
+    @example(a_pairs=[("a", 0.0)], b_pairs=[("a", -0.0)])  # OR keeps a's zero
+    @example(a_pairs=[("a", 1e308)], b_pairs=[("a", 1e308)])  # AND overflows
+    def test_merges_match_oracle(self, a_pairs, b_pairs):
+        a, b = RankedList.from_scores(a_pairs), RankedList.from_scores(b_pairs)
+        oa, ob = OracleRankedList.from_scores(a_pairs), OracleRankedList.from_scores(b_pairs)
+        cases = {
+            "and": (lambda: merge_and(a, b), lambda: oracle_merge_and(oa, ob)),
+            "or": (lambda: merge_or(a, b), lambda: oracle_merge_or(oa, ob)),
+            "hard not": (lambda: merge_not(a, b), lambda: oracle_merge_not(oa, ob)),
+            "soft not": (lambda: merge_not(a, b, "soft"),
+                         lambda: oracle_merge_not(oa, ob, "soft")),
+            "normalize": (lambda: _min_max_normalize(a), lambda: oracle_min_max_normalize(oa)),
+        }
+        for name, (got, want) in cases.items():
+            assert ranked_outcome(got) == ranked_outcome(want), name
+
 
 def _random_ranked(rng, pool):
     size = int(rng.integers(0, len(pool) + 1))
@@ -257,8 +285,18 @@ class TestEvaluateExpr:
         ])
         scaled = _min_max_normalize(ranked)
         assert scaled.doc_ids() == ("a", "b", "c", "z")
-        assert scaled.scores()["b"] == scaled.scores()["c"]
-        assert (scaled.scores()["a"], scaled.scores()["z"]) == (1.0, 0.0)
+        scores = dict(scaled.items)
+        assert scores["b"] == scores["c"]
+        assert (scores["a"], scores["z"]) == (1.0, 0.0)
+
+    def test_normalize_subtracts_the_minimum_not_the_last_score(self):
+        # min is the first 0.0, not the last item's -0.0, so c stays -0.0
+        pairs = [("a", 5.0), ("b", 0.0), ("c", -0.0)]
+        got = ranked_outcome(lambda: _min_max_normalize(RankedList.from_scores(pairs)))
+        assert got == [("a", "1.0"), ("b", "0.0"), ("c", "-0.0")]
+        assert got == ranked_outcome(
+            lambda: oracle_min_max_normalize(OracleRankedList.from_scores(pairs))
+        )
 
     def test_whole_query_delegates_to_top_k(self):
         index = planted_six_doc_index()
