@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
@@ -23,7 +22,9 @@ from .remote import post_json
 # Embeddings are plain float64 numpy vectors.
 Embedding = np.ndarray
 
-TOKEN_RE = re.compile(r"[a-z0-9]+")
+# every byte but a-z and 0-9 becomes a space
+TOKEN_TABLE = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32
+                    for b in range(256))
 
 REMOTE_BATCH_SIZE = 64
 REMOTE_WORKERS = 4
@@ -56,8 +57,14 @@ class EmbedderSpec:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumeric runs."""
-    return TOKEN_RE.findall(text.lower())
+    """Lowercase, then split on runs of anything but ASCII a-z and 0-9.
+
+    Lowering comes first, so a character that lowers to ASCII (the Kelvin
+    sign to "k") counts as one; any other non-ASCII character is encoded as
+    "?" and becomes a space with the other separators.
+    """
+    ascii_text = text.lower().encode("ascii", "replace")
+    return ascii_text.translate(TOKEN_TABLE).decode("ascii").split()
 
 
 def hashed_bow_embed(text: str, dim: int, seed: int = 0) -> Embedding:

@@ -194,6 +194,10 @@ class GeneratedQuestion:
     answer_token_groups: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.question_id, str) or not isinstance(self.text, str):
+            raise GenerationError("question_id and text must be strings")
+        if not (self.expression is None or isinstance(self.expression, str)):
+            raise GenerationError("expression must be a string or null")
         if not self.question_id:
             raise GenerationError("question_id must be non-empty")
         if self.provenance not in ("template", "chat-model"):
@@ -885,8 +889,10 @@ def load_questions(path: str | Path) -> list[GeneratedQuestion]:
                     ),
                 )
             )
-        # OverflowError: a float source_cluster too large for an int
-        except (ValueError, OverflowError, KeyError, TypeError, RecursionError) as exc:
+        # OverflowError: a float source_cluster too large for an int;
+        # GenerationError: GeneratedQuestion's own checks
+        except (ValueError, OverflowError, KeyError, TypeError, RecursionError,
+                GenerationError) as exc:
             raise GenerationError(f"{path}:{lineno}: {exc}") from None
     return questions
 

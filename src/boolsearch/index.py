@@ -4,20 +4,24 @@ Scoring is exact: every query is compared against every row, so retrieval
 quality depends only on the embedding and the similarity function. Ties are
 always broken by ascending doc id for total determinism.
 
-The index keeps its float32 matrix column-major and read-only. top_k runs
-in two stages. A float32 screen scores every row over only the columns
-where the query is nonzero, adding one contiguous column at a time
-(term-at-a-time scoring). A rigorous bound on the screen's rounding error
-(Higham, Accuracy and Stability of Numerical Algorithms, section 3.1) keeps
-every row that could still belong to the top k, measured from the k-th
-largest screen, which one sort of every screen gives. Survivors are scored
-again from the query's columns alone: the other products are zeros, which
-change a float64 sum only in the sign of a zero result, and that result is
--0.0 only if every product is -0.0 (IEEE 754-2019 section 6.3). So a row
-with a nonzero product is summed with +0.0 in place of those zeros, in the
-per-row reduction order that defines a score; a row of zero products with
-one +0.0 among them, in the query's columns or proven off them by its count
-of entries of clear sign, scores +0.0 with no arithmetic; and a row of -0.0
+The index keeps its float32 matrix column-major and read-only, and builds
+once the postings (ascending row ids and values of the nonzero entries) of
+every column with at most n // 8 nonzero rows, which take at most a quarter
+of the matrix's bytes. top_k runs in two stages. A float32 screen scores
+every row over only the columns where the query is nonzero, term at a
+time: the postings of its sparse columns are scattered with one float64
+bincount, and its dense columns are added one contiguous column at a time.
+A rigorous bound on the screen's rounding error (Higham, Accuracy and
+Stability of Numerical Algorithms, section 3.1) keeps every row that could
+still belong to the top k, measured from the k-th largest screen, which
+one sort of every screen gives. Survivors are scored again from the
+query's columns alone: the other products are zeros, which change a float64
+sum only in the sign of a zero result, and that result is -0.0 only if
+every product is -0.0 (IEEE 754-2019 section 6.3). So a row with a nonzero
+product is summed with +0.0 in place of those zeros, in the per-row
+reduction order that defines a score; a row of zero products with one +0.0
+among them, in the query's columns or proven off them by its count of
+entries of clear sign, scores +0.0 with no arithmetic; and a row of -0.0
 products only is summed whole. Results are bit-identical to scoring and
 fully sorting every row.
 
@@ -53,7 +57,7 @@ MAGIC = b"BDIX"
 FORMAT_VERSION = 2  # version 1 files still load
 SIMILARITIES = ("dot", "cosine")
 
-_CHUNK_ROWS = 1024  # rows per embedding batch
+_CHUNK_ROWS = 1024  # rows per embedding batch, and per read of a version 1 payload
 
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
@@ -127,6 +131,9 @@ class Index:
     _id_rank: np.ndarray = field(init=False, repr=False, compare=False)
     _row_norm_bound: float = field(init=False, repr=False, compare=False)
     _sign_clear: np.ndarray = field(init=False, repr=False, compare=False)
+    # per column: (row ids, values) of its nonzero entries, or None if dense
+    _postings: tuple = field(init=False, repr=False, compare=False)
+    _dense: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.similarity not in SIMILARITIES:
@@ -160,20 +167,38 @@ class Index:
             object.__setattr__(self, "matrix", matrix)
         # float64 squared row norms, a column at a time; a float32 square
         # cannot overflow float64, so a non-finite sum means a non-finite entry
-        sq_norms = np.zeros(len(self.doc_ids))
-        sign_set = np.zeros(len(self.doc_ids), dtype=np.int32)  # per row
+        n = len(self.doc_ids)
+        sq_norms = np.zeros(n)
+        sign_set = np.zeros(n, dtype=np.int32)  # per row
+        # a column with at most n // 8 nonzero rows gets postings: their
+        # ascending ids (int32 while they fit) and float32 values, so all
+        # postings together take at most a quarter of the matrix's bytes
+        row_type = np.int32 if n < 2**31 else np.intp
+        postings = []
         with np.errstate(invalid="ignore"):  # casting a signalling NaN warns
             for column in matrix.T:
                 sign_set += np.signbit(column)
+                if np.count_nonzero(column) <= n // 8:
+                    rows = np.flatnonzero(column)
+                    postings.append((rows.astype(row_type), column[rows]))
+                else:
+                    postings.append(None)
                 column = column.astype(np.float64)
                 sq_norms += column * column
         if not np.isfinite(sq_norms).all():
             raise BoolSearchError("index matrix holds non-finite values")
+        dense = np.array([posting is None for posting in postings])
+        dense.flags.writeable = False
+        for posting in filter(None, postings):
+            for array in posting:
+                array.flags.writeable = False
         # ranks in Python string order: a numpy str_ array drops trailing NULs
         ids = np.array(self.doc_ids, dtype=object)
         object.__setattr__(self, "_id_rank", np.argsort(np.argsort(ids)))
         object.__setattr__(self, "_row_norm_bound", math.sqrt(float(sq_norms.max())))
         object.__setattr__(self, "_sign_clear", self.dim - sign_set)
+        object.__setattr__(self, "_postings", tuple(postings))
+        object.__setattr__(self, "_dense", dense)
 
     @property
     def dim(self) -> int:
@@ -246,23 +271,17 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
     matrix = index.matrix
     n = len(matrix)
     eps = _screen_error(index.dim, index._row_norm_bound, float(np.linalg.norm(vec)))
-    # screen in float32, within eps of every row's float64 score in any
-    # summation order, over only the query's nonzero columns: a zero query
-    # entry adds an exact zero
     nz = np.flatnonzero(vec)
     terms = vec[nz]
-    screen = np.zeros(n, dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):  # eps is inf then
-        for j, term in zip(nz, terms.astype(np.float32)):
-            screen += matrix[:, j] * term
-    kth = min(k, n)
-    t = float(np.sort(screen)[n - kth])  # the k-th largest screen
-    # each of the kth rows screened >= t scores >= t - eps, so every row of
-    # the true top k scores >= t - eps and screens >= t - 2 eps; the test is
-    # inclusive, so rows tied at the boundary all survive
-    threshold = _round_down_f32(t - 2.0 * eps)
-    # "not below" also keeps NaN screens, so an unusable screen keeps all rows
-    cand = np.flatnonzero(~(screen < threshold))
+    if math.isinf(eps):  # the screen could overflow float32: keep every row
+        cand = np.arange(n)
+    else:
+        screen = _screen(index, nz, terms)
+        t = float(np.sort(screen)[n - min(k, n)])  # the k-th largest screen
+        # each of those k rows screened >= t scores >= t - eps, so every row
+        # of the true top k scores >= t - eps and screens >= t - 2 eps; the
+        # test is inclusive, so rows tied at the boundary all survive
+        cand = np.flatnonzero(screen >= _round_down_f32(t - 2.0 * eps))
     # a score is the pairwise float64 sum of a row's products with vec: an
     # elementwise multiply and a sum over a C-ordered row, not a BLAS matmul,
     # so its order is the same however many rows are scored. Off the query's
@@ -307,6 +326,35 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
     # Python floats, not numpy scalars: a score's repr is part of the output
     ids = [index.doc_ids[i] for i in cand[order].tolist()]
     return RankedList(map(ScoredDoc, ids, scores[order].tolist()))
+
+
+def _screen(index: Index, nz: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """float32 scores of every row over the query's nonzero columns nz,
+    whose query entries are terms; a zero query entry adds an exact zero.
+
+    The postings of the sparse columns are scattered with one bincount:
+    float64 products summed in float64, then rounded to float32 once. The
+    dense columns are then added in float32, one contiguous column at a
+    time. Every row stays within _screen_error's eps of its float64 score.
+    A sparse product and its float64 sum over at most d terms cost
+    u64 + gamma_d(64) < u32, no more than rounding its query entry to
+    float32 would; the one float32 rounding and at most d - 1 column adds
+    after it cost what a float32 product and those adds would. Either way a
+    product's error is within u32 + gamma_d(32)(1+u32), and with finite eps
+    (Cauchy-Schwarz) no partial sum reaches 2^121, so none overflows.
+    """
+    dense = index._dense[nz]
+    if dense.all():
+        screen = np.zeros(len(index.matrix), dtype=np.float32)
+    else:
+        posted = [index._postings[j] for j in nz[~dense]]
+        rows = np.concatenate([rows for rows, _ in posted])
+        values = np.concatenate([values for _, values in posted])
+        weights = values * np.repeat(terms[~dense], [len(rows) for rows, _ in posted])
+        screen = np.bincount(rows, weights, minlength=len(index.matrix)).astype(np.float32)
+    for j, term in zip(nz[dense], terms[dense].astype(np.float32)):
+        screen += index.matrix[:, j] * term
+    return screen
 
 
 def _screen_error(dim: int, row_norm_bound: float, vec_norm: float) -> float:
@@ -408,17 +456,22 @@ def load_index(path: str | Path, expected_spec: EmbedderSpec | None = None) -> I
                     f"{path}: matrix payload holds {size - offset} bytes, "
                     f"expected {expected_bytes} (truncated or trailing data)"
                 )
-            # read straight into an array of the file's layout: rows one after
-            # another in version 1, columns in version 2
-            matrix = np.empty((count, dim), dtype="<f4", order="C" if version == 1 else "F")
-            payload = matrix if version == 1 else matrix.T
-            if f.readinto(payload) != payload_bytes:
-                raise IndexFormatError(f"{path}: matrix payload is truncated")
+            # read straight into the column-major matrix: its columns one after
+            # another in version 2, and in version 1, whose rows follow one
+            # another, a chunk of rows at a time
+            matrix = np.empty((count, dim), dtype="<f4", order="F")
             if version == 1:
-                matrix = np.asfortranarray(matrix)
+                chunk = np.empty((min(_CHUNK_ROWS, count), dim), dtype="<f4")
+                for start in range(0, count, _CHUNK_ROWS):
+                    rows = chunk[: count - start]
+                    if f.readinto(rows) != rows.nbytes:
+                        raise IndexFormatError(f"{path}: matrix payload is truncated")
+                    matrix[start : start + len(rows)] = rows
             else:
+                if f.readinto(matrix.T) != payload_bytes:
+                    raise IndexFormatError(f"{path}: matrix payload is truncated")
                 (stored,) = struct.unpack("<I", f.read(4))
-                computed = zlib.crc32(payload)
+                computed = zlib.crc32(matrix.T)
                 if computed != stored:
                     raise IndexFormatError(
                         f"{path}: matrix payload fails its CRC32 check "

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import struct
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
@@ -19,7 +20,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from boolsearch.data import Corpus, Passage
-from boolsearch.embed import tokenize
 from boolsearch.errors import BoolSearchError, GenerationError
 from boolsearch.generate import Cluster, cosine_distances
 from boolsearch.index import MAGIC, SIMILARITIES, Index, embed_query
@@ -61,12 +61,20 @@ def random_query(rng: np.random.Generator, vocab: int = 40) -> str:
     return " ".join(rng.choice(words, size=int(rng.integers(1, 5))))
 
 
+TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    """The regular-expression tokenizer that embed.tokenize replaced."""
+    return TOKEN_RE.findall(text.lower())
+
+
 def oracle_hashed_bow_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
     """One fresh keyed blake2b per token occurrence, added into the vector
     one token at a time: hashed_bow_embed before the per-call memo."""
     key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     vec = np.zeros(dim, dtype=np.float64)
-    for token in tokenize(text):
+    for token in oracle_tokenize(text):
         digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
         h = int.from_bytes(digest, "little")
         vec[h % dim] += 1.0 if (h >> 63) & 1 else -1.0

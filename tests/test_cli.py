@@ -234,6 +234,27 @@ class TestGenCommands:
         assert err == "error: unknown stats format 'xml'\n"
         assert not dataset.exists()
 
+    def test_assemble_question_text_not_a_string_is_typed(self, capsys, tmp_path,
+                                                          corpus_file):
+        corpus, _ = planted_corpus(n_clusters=3, per_cluster=4)
+        clusters = [generate.Cluster(0, corpus.ids[:4])]
+        spec = generate.GeneratorSpec(seed=1, n_per_type=2)
+        questions = tmp_path / "filtered.jsonl"
+        generate.save_questions(generate.generate_questions(corpus, clusters, spec), questions)
+        lines = questions.read_text().splitlines()
+        record = json.loads(lines[1])
+        record.update(text=5, filtered=True)
+        lines[1] = json.dumps(record)
+        questions.write_text("\n".join(lines) + "\n")
+        dataset = tmp_path / "judgments.jsonl"
+        code, out, err = run_cli(
+            capsys, "gen", "assemble", "--corpus", str(corpus_file),
+            "--questions", str(questions), "--out", str(dataset),
+        )
+        assert code == 2 and not out
+        assert err == f"error: {questions}:2: question_id and text must be strings\n"
+        assert not dataset.exists()
+
     def test_cluster_above_row_cap_is_runtime_error(
         self, capsys, tmp_path, corpus_file, monkeypatch
     ):

@@ -17,7 +17,7 @@ from boolsearch.embed import (
 from boolsearch.errors import EmbeddingError, EmbeddingServiceError
 from boolsearch.index import build_index
 
-from _planted import oracle_hashed_bow_embed
+from _planted import oracle_hashed_bow_embed, oracle_tokenize
 from _server import ScriptedServer
 
 
@@ -97,6 +97,23 @@ class TestHashedBow:
 
     def test_tokenize(self):
         assert tokenize("Al-pha, beta9 GAMMA??") == ["al", "pha", "beta9", "gamma"]
+
+    def test_tokenize_matches_oracle_on_every_code_point(self):
+        # each code point alone, and between ASCII letters, so one that
+        # lowers to ASCII joins or splits tokens as the oracle's does
+        for start in range(0, 0x110000, 0x10000):
+            points = [chr(c) for c in range(start, start + 0x10000)]
+            text = " ".join(f"a{c}b {c}" for c in points)
+            assert tokenize(text) == oracle_tokenize(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.one_of(
+        st.text(st.characters(exclude_categories=())),
+        st.text(alphabet="aAzZ09 _\t\n\x00\x7f\x80\u00e9\u0130\u212a\u03a3\ud800"),
+    ))
+    @example(text="\u212aelvin \u0130stanbul")
+    def test_tokenize_matches_oracle(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
 
 
 # arbitrary Unicode; a small mixed-case alphabet that repeats tokens (with

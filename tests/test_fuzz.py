@@ -146,8 +146,20 @@ def test_load_run(tmp_path, blob):
 @given(blob=lines(QUESTION_RECORDS))
 @example(blob=DEEP)
 @example(blob=b'{"question_id": "q", "qtype": "AND", "text": "t", "source_cluster": 1e999}')
+@example(blob=json.dumps({
+    "question_id": "q", "qtype": "SIMPLE", "text": 5, "source_cluster": 0,
+    "candidate_ids": ["a"], "positives": ["a"], "negatives": [],
+    "provenance": "template", "filtered": True,
+}).encode("utf-8"))
 def test_load_questions(tmp_path, blob):
-    only_typed_errors(load_questions, tmp_path / "questions.jsonl", blob)
+    path = tmp_path / "questions.jsonl"
+    path.write_bytes(blob)
+    try:
+        questions = load_questions(path)
+    except BoolSearchError:
+        return
+    # the text is lowercased and tokenized downstream: always a string
+    assert all(isinstance(q.text, str) and isinstance(q.question_id, str) for q in questions)
 
 
 @FUZZ

@@ -17,6 +17,8 @@ from boolsearch.index import (
     Index,
     RankedList,
     ScoredDoc,
+    _screen,
+    _screen_error,
     build_index,
     embed_query,
     load_index,
@@ -70,6 +72,37 @@ def exact(pairs):
 def assert_matches_oracle(index, query, k):
     got = exact((d.doc_id, d.score) for d in top_k(index, query, k))
     assert got == exact(oracle_top_k(index, query, k))
+
+
+def load_peak(tmp_path, save):
+    """A 4000 x 256 index saved by save, and the tracemalloc peak of loading
+    it back, which must give the same index."""
+    rng = np.random.default_rng(71)
+    spec = EmbedderSpec(dim=256)
+    matrix = rng.standard_normal((4000, 256)).astype(np.float32)
+    index = Index(tuple(f"d{i}" for i in range(4000)), matrix, "dot", spec,
+                  spec.fingerprint())
+    save(index, tmp_path / "x.idx")
+    tracemalloc.start()
+    try:
+        loaded = load_index(tmp_path / "x.idx")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == index
+    return index, peak
+
+
+def assert_screen_within_bound(index, query):
+    """Every row's float32 screen lies within _screen_error of its float64
+    score, the per-row sum the oracle takes."""
+    vec = embed_query(index, query)
+    nz = np.flatnonzero(vec)
+    eps = _screen_error(index.dim, index._row_norm_bound, float(np.linalg.norm(vec)))
+    scores = (np.ascontiguousarray(index.matrix, dtype=np.float64) * vec).sum(axis=1)
+    screen = _screen(index, nz, vec[nz]).astype(np.float64)
+    assert 0.0 < eps < np.inf
+    assert (np.abs(screen - scores) <= eps).all()
 
 
 class ScriptedEmbedder:
@@ -310,6 +343,17 @@ class TestTopK:
         for k in (1, 3, 10):
             got = [(d.doc_id, d.score) for d in top_k(index, query, k)]
             assert got == oracle_top_k(index, query, k)
+        assert index._dense.all()
+        assert_screen_within_bound(index, query)
+        # the same rows with every other column cut down to n // 8 nonzero
+        # rows, so those columns are screened from their postings
+        for j in range(0, dim, 2):
+            matrix[rng.permutation(len(matrix))[len(matrix) // 8 :], j] = 0.0
+        index = Index(ids, matrix, "dot", SPEC, SPEC.fingerprint())
+        assert index._dense.tolist() == [j % 2 == 1 for j in range(dim)]
+        assert_screen_within_bound(index, query)
+        for k in (1, 3, 10):
+            assert_matches_oracle(index, query, k)
 
     def test_rows_beyond_float32_screen_range_match_oracle(self):
         # scores near the float32 maximum overflow the screen: the bound is
@@ -370,6 +414,8 @@ class TestTopK:
         if similarity == "cosine":
             matrix = normalize_rows(matrix)
         index = scripted.index(matrix, similarity)
+        # every column is dense, so no postings: the screen adds columns only
+        assert index._dense.all() and set(index._postings) == {None}
         for q in range(12):
             vec = rng.standard_normal(48)
             if q >= 6:
@@ -377,6 +423,49 @@ class TestTopK:
             scripted.vectors[f"q{q}"] = vec.tolist()
             for k in (1, 10, 250, 3000, 3001):
                 assert_matches_oracle(index, f"q{q}", k)
+
+    @pytest.mark.parametrize("similarity", SIMILARITIES)
+    def test_sparse_and_dense_columns_match_oracle(self, scripted, similarity):
+        # columns of n // 8 nonzero rows get postings, of n // 8 + 1 do not;
+        # queries touch posted columns, dense ones, both, columns no row
+        # uses (every product zero: the zero band), or none
+        rng = np.random.default_rng(47)
+        n, dim = 800, 24
+        counts = [n // 8, n // 8 + 1] + [int(c) for c in rng.integers(1, n // 8, 8)]
+        counts += [int(c) for c in rng.integers(n // 8 + 1, n, 6)] + [0] * 8
+        matrix = np.zeros((n, dim))
+        for j, count in enumerate(counts):
+            rows = rng.permutation(n)[:count]
+            matrix[rows, j] = rng.integers(1, 4, count) * rng.choice([-0.5, 0.25, 1.0], count)
+        zeros = (matrix == 0) & (rng.random((n, dim)) < 0.3)
+        matrix[zeros] = -0.0  # -0.0 entries inside posted columns too
+        if similarity == "cosine":
+            matrix = normalize_rows(matrix)
+        index = scripted.index(matrix, similarity)
+        assert index._dense.tolist() == [count > n // 8 for count in counts]
+        for j, count in enumerate(counts):
+            if count <= n // 8:
+                rows, values = index._postings[j]
+                assert rows.tolist() == np.flatnonzero(index.matrix[:, j]).tolist()
+                assert values.tobytes() == index.matrix[rows, j].tobytes()
+                assert not rows.flags.writeable and not values.flags.writeable
+            else:
+                assert index._postings[j] is None
+        queries = {
+            "posted": [0] + list(range(2, 10)),
+            "dense": [1] + list(range(10, 16)),
+            "both": [0, 1, 3, 5, 11, 14],
+            "unused": list(range(16, 24)),
+            "unused-and-posted": [0, 17, 20],
+            "none": [],
+        }
+        for name, columns in queries.items():
+            vec = np.zeros(dim)
+            vec[columns] = rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], len(columns))
+            scripted.vectors[name] = vec.tolist()
+            for k in (1, 10, 100, 300, n, n + 5):
+                assert_matches_oracle(index, name, k)
+            assert_screen_within_bound(index, name)
 
     @pytest.mark.parametrize("similarity", SIMILARITIES)
     def test_signed_zeros_match_oracle(self, scripted, similarity):
@@ -683,19 +772,13 @@ class TestPersistence:
     def test_load_reads_the_payload_straight_into_the_matrix(self, tmp_path):
         # the payload is not held as bytes beside the matrix, so loading
         # peaks near the matrix's own size
-        rng = np.random.default_rng(71)
-        spec = EmbedderSpec(dim=256)
-        matrix = rng.standard_normal((4000, 256)).astype(np.float32)
-        index = Index(tuple(f"d{i}" for i in range(4000)), matrix, "dot", spec,
-                      spec.fingerprint())
-        save_index(index, tmp_path / "x.idx")
-        tracemalloc.start()
-        try:
-            loaded = load_index(tmp_path / "x.idx")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert loaded == index
+        index, peak = load_peak(tmp_path, save_index)
+        assert peak < 1.5 * index.matrix.nbytes
+
+    def test_version_1_load_reads_rows_straight_into_the_matrix(self, tmp_path):
+        # a version 1 payload is read a chunk of rows at a time into the
+        # column-major matrix, not whole and then copied
+        index, peak = load_peak(tmp_path, save_index_v1)
         assert peak < 1.5 * index.matrix.nbytes
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
