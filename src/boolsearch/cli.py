@@ -40,7 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_config(path: str | Path) -> dict[str, str]:
-    """Parse a flat key=value config file; '#' starts a comment line."""
+    """Parse a flat key=value config file; '#' starts a comment line.
+    Every key must be one of CONFIG_KEYS."""
     values: dict[str, str] = {}
     for lineno, line in read_lines(path, BoolSearchError):
         stripped = line.strip()
@@ -49,8 +50,51 @@ def load_config(path: str | Path) -> dict[str, str]:
         if "=" not in stripped:
             raise BoolSearchError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise BoolSearchError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value.strip()
     return values
+
+
+def _bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(raw)
+    return lowered in ("1", "true", "yes", "on")
+
+
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+# every key a config file may set: the flag that overrides it, its default
+# and the type its value is read as
+CONFIG_KEYS = {
+    "log_level": ("log_level", "WARNING", str),  # one of LOG_LEVELS, any case
+    "seed": ("seed", 0, int),  # seed of gen cluster, questions and filter
+    "embedder.kind": ("embedder", "hashed-bow", str),  # or remote
+    "embedder.dim": ("dim", 256, int),
+    "embedder.raw": ("raw_vectors", False, _bool),  # true skips unit normalization
+    "embedder.seed": ("embed_seed", 0, int),
+    "embedder.endpoint": ("endpoint", "", str),  # remote embedder base URL
+    "index.similarity": ("sim", "cosine", str),  # or dot
+    "eval.k": ("k", 10, int),  # list depth of search and eval
+    "eval.format": ("format", "table", str),  # or json
+    "merge.depth_factor": ("depth_factor", 2, int),
+    "merge.not_mode": ("not_mode", "hard", str),  # or soft
+    "merge.normalize": ("normalize_scores", False, _bool),
+    "gen.clusters": ("clusters", None, int),  # target cluster count
+    "gen.threshold": ("threshold", None, float),  # distance threshold stop rule
+    "gen.svd_rank": ("svd_rank", 128, int),
+    "gen.sample_cap": ("sample_cap", 100_000, int),
+    "gen.mode": ("mode", "template", str),  # or chat
+    "gen.chat_endpoint": ("chat_endpoint", "", str),
+    "gen.chat_model": ("chat_model", "", str),
+    "gen.chat_mode": ("chat_mode", "live", str),  # or record, replay
+    "gen.cassette": ("cassette", "", str),
+    "gen.per_type": ("per_type", 10, int),
+    "gen.max_concurrent": ("max_concurrent", 4, int),
+    "stats.format": ("format", "table", str),  # of stats and gen assemble
+}
 
 
 class AppConfig:
@@ -61,30 +105,27 @@ class AppConfig:
         self.file_values = load_config(args.config) if args.config else {}
         self.resolved: dict[str, str] = {}
 
-    def get(self, flag: str, file_key: str, default, cast=str):
+    def get(self, key: str):
+        flag, default, cast = CONFIG_KEYS[key]
         value = getattr(self.args, flag, None)
         if value is None:
-            raw = self.file_values.get(file_key)
-            value = default if raw is None else _cast(raw, cast, file_key)
-        self.resolved[file_key] = str(value)
+            raw = self.file_values.get(key)
+            value = default if raw is None else _cast(raw, cast, key)
+        self.resolved[key] = str(value)
         return value
 
     def embedder_spec(self) -> EmbedderSpec:
         return EmbedderSpec(
-            kind=self.get("embedder", "embedder.kind", "hashed-bow"),
-            dim=self.get("dim", "embedder.dim", 256, int),
-            normalize=not self.get("raw_vectors", "embedder.raw", False, _bool),
-            seed=self.get("embed_seed", "embedder.seed", 0, int),
-            endpoint=self.get("endpoint", "embedder.endpoint", ""),
+            kind=self.get("embedder.kind"),
+            dim=self.get("embedder.dim"),
+            normalize=not self.get("embedder.raw"),
+            seed=self.get("embedder.seed"),
+            endpoint=self.get("embedder.endpoint"),
         )
 
     def dump(self, stream) -> None:
         for key in sorted(self.resolved):
             print(f"{key}={self.resolved[key]}", file=stream)
-
-
-def _bool(raw: str) -> bool:
-    return raw.lower() in ("1", "true", "yes", "on")
 
 
 def _cast(raw: str, cast, key: str):
@@ -204,10 +245,14 @@ def dispatch(argv: list[str]) -> int:
     previous_level = package_logger.level
     try:
         config = AppConfig(args)
-        level = args.log_level or config.file_values.get("log_level") or "WARNING"
+        level = config.get("log_level").upper()
+        if level not in LOG_LEVELS:
+            raise BoolSearchError(
+                f"unknown log level {level!r}; expected one of {', '.join(LOG_LEVELS)}"
+            )
         # basicConfig(level=) is a no-op once the root logger has a handler
         logging.basicConfig(stream=sys.stderr)
-        package_logger.setLevel(getattr(logging, level.upper(), logging.WARNING))
+        package_logger.setLevel(level)
         handler = _HANDLERS[args.command]
         result = handler(args, config)
         if args.verbose:
@@ -226,7 +271,7 @@ def dispatch(argv: list[str]) -> int:
 
 def _cmd_index(args, config: AppConfig) -> int:
     spec = config.embedder_spec()
-    similarity = config.get("sim", "index.similarity", "cosine")
+    similarity = config.get("index.similarity")
     corpus = load_corpus(args.corpus)
     index = build_index(corpus, spec, similarity)
     save_index(index, args.out)
@@ -236,20 +281,16 @@ def _cmd_index(args, config: AppConfig) -> int:
 
 def _cmd_search(args, config: AppConfig) -> int:
     index = load_index(args.index)
-    k = config.get("k", "eval.k", 10, int)
+    k = config.get("eval.k")
     if args.raw is not None:
         ranked = query.whole_query_retrieve(index, args.raw, k)
     else:
         expr = query.parse_boolean_query(args.query)
         policy = query.MergePolicy(
             final_k=k,
-            candidate_depth_factor=config.get(
-                "depth_factor", "merge.depth_factor", 2, int
-            ),
-            not_mode=config.get("not_mode", "merge.not_mode", "hard"),
-            normalize=config.get(
-                "normalize_scores", "merge.normalize", False, _bool
-            ),
+            candidate_depth_factor=config.get("merge.depth_factor"),
+            not_mode=config.get("merge.not_mode"),
+            normalize=config.get("merge.normalize"),
         )
         ranked = query.evaluate_expr(index, expr, policy)
     for item in ranked:
@@ -260,38 +301,38 @@ def _cmd_search(args, config: AppConfig) -> int:
 def _cmd_eval(args, config: AppConfig) -> int:
     run = metrics.load_run(args.run)
     judgments = load_judgments(args.judgments)
-    k = config.get("k", "eval.k", 10, int)
+    k = config.get("eval.k")
     report = metrics.evaluate_run(run, judgments, k)
-    fmt = config.get("format", "eval.format", "table")
+    fmt = config.get("eval.format")
     print(metrics.render_report(report, fmt))
     return 0
 
 
 def _generator_spec(args, config: AppConfig, seed: int) -> generate.GeneratorSpec:
-    mode = config.get("mode", "gen.mode", "template")
+    mode = config.get("gen.mode")
     return generate.GeneratorSpec(
         mode=mode,
-        chat_endpoint=config.get("chat_endpoint", "gen.chat_endpoint", ""),
-        chat_model=config.get("chat_model", "gen.chat_model", ""),
-        chat_mode=config.get("chat_mode", "gen.chat_mode", "live"),
-        cassette_path=config.get("cassette", "gen.cassette", ""),
+        chat_endpoint=config.get("gen.chat_endpoint"),
+        chat_model=config.get("gen.chat_model"),
+        chat_mode=config.get("gen.chat_mode"),
+        cassette_path=config.get("gen.cassette"),
         seed=seed,
-        n_per_type=config.get("per_type", "gen.per_type", 10, int),
-        max_concurrent=config.get("max_concurrent", "gen.max_concurrent", 4, int),
+        n_per_type=config.get("gen.per_type"),
+        max_concurrent=config.get("gen.max_concurrent"),
     )
 
 
 def _cmd_gen(args, config: AppConfig) -> int:
-    seed = config.get("seed", "seed", 0, int)
+    seed = config.get("seed")
     if args.gen_command == "cluster":
         corpus = load_corpus(args.corpus)
-        target = config.get("clusters", "gen.clusters", None, int)
-        threshold = config.get("threshold", "gen.threshold", None, float)
+        target = config.get("gen.clusters")
+        threshold = config.get("gen.threshold")
         clusters = generate.cluster_corpus(
             corpus,
             config.embedder_spec(),
-            svd_rank=config.get("svd_rank", "gen.svd_rank", 128, int),
-            sample_cap=config.get("sample_cap", "gen.sample_cap", 100_000, int),
+            svd_rank=config.get("gen.svd_rank"),
+            sample_cap=config.get("gen.sample_cap"),
             seed=seed,
             distance_threshold=threshold,
             target_count=target,
@@ -323,7 +364,7 @@ def _cmd_gen(args, config: AppConfig) -> int:
     questions = generate.load_questions(args.questions)
     judgments, stats = generate.assemble_dataset(questions, corpus)
     # rendered first, so an unknown format fails before the file is written
-    rendered = render_stats(stats, config.get("format", "stats.format", "table"))
+    rendered = render_stats(stats, config.get("stats.format"))
     save_judgments(judgments, args.out)
     print(rendered)
     return 0
@@ -332,7 +373,7 @@ def _cmd_gen(args, config: AppConfig) -> int:
 def _cmd_stats(args, config: AppConfig) -> int:
     corpus = load_corpus(args.corpus) if args.corpus else None
     judgments = load_judgments(args.judgments, corpus)
-    fmt = config.get("format", "stats.format", "table")
+    fmt = config.get("stats.format")
     print(render_stats(compute_stats(judgments), fmt))
     return 0
 

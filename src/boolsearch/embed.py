@@ -10,21 +10,22 @@ from __future__ import annotations
 
 import hashlib
 import os
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
 from .errors import EmbeddingError, EmbeddingServiceError
 from .remote import post_json
 
-# Embeddings are plain float64 numpy vectors.
-Embedding = np.ndarray
-
 # every byte but a-z and 0-9 becomes a space
 TOKEN_TABLE = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32
                     for b in range(256))
+
+_U64 = struct.Struct("<Q")  # a digest as one unsigned little-endian integer
 
 REMOTE_BATCH_SIZE = 64
 REMOTE_WORKERS = 4
@@ -67,7 +68,7 @@ def tokenize(text: str) -> list[str]:
     return ascii_text.translate(TOKEN_TABLE).decode("ascii").split()
 
 
-def hashed_bow_embed(text: str, dim: int, seed: int = 0) -> Embedding:
+def hashed_bow_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
     """Signed hashed bag-of-words vector, unnormalized.
 
     Each token's 64-bit keyed hash picks bucket = hash mod dim from the
@@ -75,15 +76,19 @@ def hashed_bow_embed(text: str, dim: int, seed: int = 0) -> Embedding:
     two choices stay decorrelated. Tokens accumulate, so the raw vector
     is additive over text concatenation and order-invariant.
     """
-    return _hashed_bow_rows([text], dim, seed)[0]
+    return _hashed_bow_rows([text], dim, seed, {})[0]
 
 
-def _hashed_bow_rows(texts: list[str], dim: int, seed: int) -> np.ndarray:
+def _hashed_bow_rows(
+    texts: list[str], dim: int, seed: int, codes: dict[str, int]
+) -> np.ndarray:
     """hashed_bow_embed of every text, one row each.
 
-    Each distinct token of the call is hashed once; nothing is kept
-    across calls. The ±1.0 signs sum to small integers, exact in any
-    order, so one bincount can add up many texts at once.
+    codes is the token table of one embed_texts or embed_chunks call: it
+    maps each token hashed so far to its signed code, bucket << 1 | top
+    bit, and gains the tokens of texts it lacks, so a token is hashed once
+    however many of the call's chunks it recurs in. The ±1.0 signs sum to
+    small integers, exact in any order, so one bincount adds up many texts.
     """
     if dim < 8:
         raise EmbeddingError(f"embedder dim must be >= 8, got {dim}")
@@ -91,24 +96,24 @@ def _hashed_bow_rows(texts: list[str], dim: int, seed: int) -> np.ndarray:
     keyed = hashlib.blake2b(digest_size=8, key=key)
     n = len(texts)
     token_lists = [tokenize(text) for text in texts]
-    tokens = token_lists[0] if n == 1 else list(chain.from_iterable(token_lists))
-    buckets = dict.fromkeys(tokens)
-    signs = {}
-    for token in buckets:
+    for token in set(chain.from_iterable(token_lists)).difference(codes):
         h = keyed.copy()
-        h.update(token.encode("utf-8"))
-        value = int.from_bytes(h.digest(), "little")
-        buckets[token] = value % dim
-        signs[token] = 1.0 if value >> 63 else -1.0
+        h.update(token.encode())  # tokens are ASCII
+        (value,) = _U64.unpack(h.digest())
+        codes[token] = value % dim << 1 | value >> 63
     if n == 1:  # a query: adding in place beats numpy's per-call cost
         rows = np.zeros((1, dim))
         row = rows[0]
-        for token in tokens:
-            row[buckets[token]] += signs[token]
+        for token in token_lists[0]:
+            code = codes[token]
+            row[code >> 1] += 1.0 if code & 1 else -1.0
         return rows
-    flat = np.fromiter(map(buckets.__getitem__, tokens), np.intp, len(tokens))
-    weights = np.fromiter(map(signs.__getitem__, tokens), np.float64, len(tokens))
-    flat += np.repeat(np.arange(0, n * dim, dim), [len(t) for t in token_lists])
+    lengths = list(map(len, token_lists))
+    tokens = chain.from_iterable(token_lists)
+    flat = np.fromiter(map(codes.__getitem__, tokens), np.intp, sum(lengths))
+    weights = (flat & 1) * 2.0 - 1.0
+    flat >>= 1
+    flat += np.repeat(np.arange(0, n * dim, dim), lengths)
     rows = np.bincount(flat, weights=weights, minlength=n * dim).reshape(n, dim)
     return rows.astype(np.float64, copy=False)  # bincount gives int64 without tokens
 
@@ -120,18 +125,39 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / safe
 
 
-def embed_texts(spec: EmbedderSpec, texts: list[str]) -> list[Embedding]:
-    """Embed texts in order; every output vector has dimension spec.dim."""
+def embed_texts(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:
+    """Embed texts in order: one float64 (len(texts), spec.dim) array."""
+    return _embed(spec, texts, {})
+
+
+def embed_chunks(spec: EmbedderSpec, texts: list[str], size: int) -> Iterator[np.ndarray]:
+    """embed_texts of each run of size texts, in order.
+
+    The hashed embedder keeps one token table for every chunk of the
+    call; the remote one sends a chunk's batches when the chunk is reached.
+    """
+    codes: dict[str, int] = {}
+    for start in range(0, len(texts), size):
+        yield _embed(spec, texts[start : start + size], codes)
+
+
+def _embed(spec: EmbedderSpec, texts: list[str], codes: dict[str, int]) -> np.ndarray:
+    """The spec's rows of texts, normalized if it says so; codes is the
+    call's token table."""
     if spec.kind == "hashed-bow":
-        vectors = list(_hashed_bow_rows(texts, spec.dim, spec.seed))
+        rows = _hashed_bow_rows(texts, spec.dim, spec.seed, codes)
     else:
-        vectors = _remote_embed(spec, texts)
+        rows = _remote_embed(spec, texts)
     if spec.normalize:
-        vectors = [v if not v.any() else v / np.linalg.norm(v) for v in vectors]
-    return vectors
+        # np.vecdot takes each row's dot product with itself as
+        # np.linalg.norm of one row does (BLAS ddot), so the quotients are
+        # those of v / np.linalg.norm(v); a row with no nonzero entry stays
+        norms = np.sqrt(np.vecdot(rows, rows))[:, None]
+        np.divide(rows, norms, out=rows, where=rows.any(axis=1, keepdims=True))
+    return rows
 
 
-def _remote_embed(spec: EmbedderSpec, texts: list[str]) -> list[Embedding]:
+def _remote_embed(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:
     """Embed texts through a POST {endpoint}/embed service.
 
     Requests carry {"texts": [...]} bodies of at most REMOTE_BATCH_SIZE
@@ -142,7 +168,7 @@ def _remote_embed(spec: EmbedderSpec, texts: list[str]) -> list[Embedding]:
     url = spec.endpoint.rstrip("/") + "/embed"
     token = os.environ.get(TOKEN_ENV_VAR)
 
-    def embed_batch(batch: list[str]) -> list[Embedding]:
+    def embed_batch(batch: list[str]) -> list[np.ndarray]:
         reply = post_json(
             url,
             {"texts": batch},
@@ -184,4 +210,5 @@ def _remote_embed(spec: EmbedderSpec, texts: list[str]) -> list[Embedding]:
     else:
         with ThreadPoolExecutor(max_workers=REMOTE_WORKERS) as pool:
             results = list(pool.map(embed_batch, batches))
-    return [vec for batch in results for vec in batch]
+    vectors = [vec for batch in results for vec in batch]
+    return np.array(vectors, dtype=np.float64).reshape(len(texts), spec.dim)

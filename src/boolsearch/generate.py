@@ -418,7 +418,7 @@ def cluster_corpus(
 ) -> list[Cluster]:
     """Embed, reduce, and cluster a corpus in one step."""
     _check_cluster_rows(len(corpus))  # fail before the embedding and SVD work
-    matrix = np.vstack(embed_texts(embedder, list(corpus.texts)))
+    matrix = embed_texts(embedder, list(corpus.texts))
     rank = min(svd_rank, matrix.shape[1] - 1)
     reduced = reduce_dims(matrix, rank=rank, sample_cap=max(sample_cap, rank), seed=seed)
     return cluster_passages(

@@ -48,7 +48,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .data import Corpus, atomic_write
-from .embed import EmbedderSpec, embed_texts, normalize_rows
+from .embed import EmbedderSpec, embed_chunks, embed_texts, normalize_rows
 from .errors import BoolSearchError, EmbeddingError, IndexFormatError
 
 logger = logging.getLogger(__name__)
@@ -178,8 +178,9 @@ class Index:
         with np.errstate(invalid="ignore"):  # casting a signalling NaN warns
             for column in matrix.T:
                 sign_set += np.signbit(column)
-                if np.count_nonzero(column) <= n // 8:
-                    rows = np.flatnonzero(column)
+                nonzero = column != 0  # a bool mask is cheaper to scan twice
+                if np.count_nonzero(nonzero) <= n // 8:
+                    rows = np.flatnonzero(nonzero)
                     postings.append((rows.astype(row_type), column[rows]))
                 else:
                     postings.append(None)
@@ -223,7 +224,8 @@ def build_index(
 
     Passages are embedded, normalized and cast to float32 one chunk at a
     time into the column-major matrix, so only one chunk's float64 rows are
-    alive beside it.
+    alive beside it; the hashed embedder's token table spans every chunk
+    of the call.
     Cosine indexes store unit-normalized rows (zero rows stay zero).
     """
     if similarity not in SIMILARITIES:
@@ -231,20 +233,20 @@ def build_index(
     if len(corpus) == 0:
         raise BoolSearchError("cannot build an index over an empty corpus")
     ids = corpus.ids
-    texts = corpus.texts
+    texts = list(corpus.texts)
     matrix = np.empty((len(texts), spec.dim), dtype=np.float32, order="F")
-    for start in range(0, len(texts), _CHUNK_ROWS):
-        chunk = list(texts[start : start + _CHUNK_ROWS])
-        try:
-            rows = np.vstack(embed_texts(spec, chunk))
-        except EmbeddingError as exc:
-            last = min(start + _CHUNK_ROWS, len(texts)) - 1
-            raise EmbeddingError(
-                f"embedding failed for passages {ids[start]!r}..{ids[last]!r}: {exc}"
-            ) from exc
-        if similarity == "cosine":
-            rows = normalize_rows(rows)
-        matrix[start : start + len(chunk)] = rows
+    start = 0
+    try:
+        for rows in embed_chunks(spec, texts, _CHUNK_ROWS):
+            if similarity == "cosine":
+                rows = normalize_rows(rows)
+            matrix[start : start + len(rows)] = rows
+            start += len(rows)
+    except EmbeddingError as exc:
+        last = min(start + _CHUNK_ROWS, len(texts)) - 1
+        raise EmbeddingError(
+            f"embedding failed for passages {ids[start]!r}..{ids[last]!r}: {exc}"
+        ) from exc
     matrix.flags.writeable = False
     return Index(
         doc_ids=ids,
@@ -257,8 +259,9 @@ def build_index(
 
 def embed_query(index: Index, query: str) -> np.ndarray:
     vec = embed_texts(index.spec, [query])[0]
-    if index.similarity == "cosine" and vec.any():
-        vec = vec / np.linalg.norm(vec)
+    if index.similarity == "cosine" and np.count_nonzero(vec):
+        # np.linalg.norm of a vector, without its Python-level dispatch
+        vec = vec / math.sqrt(vec.dot(vec))
     return vec
 
 

@@ -204,8 +204,10 @@ def load_run(path: str | Path) -> dict[str, RankedList]:
                 ScoredDoc(str(item["doc_id"]), float(item["score"]))
                 for item in record["items"]
             )
+        except KeyError as exc:
+            raise RunFormatError(f"{path}:{lineno}: missing field {exc}") from None
         # OverflowError: an integer score too large for a float
-        except (ValueError, OverflowError, KeyError, TypeError, RecursionError,
+        except (ValueError, OverflowError, TypeError, RecursionError,
                 BoolSearchError) as exc:
             raise RunFormatError(f"{path}:{lineno}: {exc}") from None
         if question_id in run:

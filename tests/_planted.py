@@ -71,7 +71,7 @@ def oracle_tokenize(text: str) -> list[str]:
 
 def oracle_hashed_bow_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
     """One fresh keyed blake2b per token occurrence, added into the vector
-    one token at a time: hashed_bow_embed before the per-call memo."""
+    one token at a time: hashed_bow_embed before the per-call token table."""
     key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     vec = np.zeros(dim, dtype=np.float64)
     for token in oracle_tokenize(text):

@@ -142,6 +142,22 @@ class TestEvalCommand:
         payload = json.loads(out)
         assert payload["overall"]["neg_recall"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("record,field", [
+        ({"items": []}, "question_id"),
+        ({"question_id": "q1"}, "items"),
+        ({"question_id": "q1", "items": [{"score": 1.0}]}, "doc_id"),
+        ({"question_id": "q1", "items": [{"doc_id": "p1"}]}, "score"),
+    ])
+    def test_missing_run_field_is_named(self, capsys, tmp_path, record, field):
+        run = tmp_path / "run.jsonl"
+        run.write_text(json.dumps(record) + "\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--run", str(run),
+            "--judgments", str(FIXTURES / "golden_judgments.jsonl"),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {run}:1: missing field {field!r}\n"
+
 
 class TestStatsCommand:
     def test_stats_table(self, capsys, tmp_path):
@@ -439,3 +455,60 @@ class TestConfigFile:
         config.write_text("this has no equals sign\n")
         with pytest.raises(BoolSearchError, match="key=value"):
             load_config(config)
+
+    def test_unknown_key_names_path_and_line(self, capsys, tmp_path, corpus_file):
+        config = tmp_path / "app.cfg"
+        config.write_text("# typo below\neval.k=3\neval.kk=3\n")
+        code, out, err = run_cli(
+            capsys, "--config", str(config), "index", "build",
+            "--corpus", str(corpus_file), "--out", str(tmp_path / "c.idx"),
+        )
+        assert code == 2 and not (tmp_path / "c.idx").exists()
+        assert err == f"error: {config}:3: unknown config key 'eval.kk'\n"
+
+    @pytest.mark.parametrize("raw", ["ture", "", "2"])
+    def test_unparsable_bool_names_the_key(self, capsys, tmp_path, corpus_file, raw):
+        config = tmp_path / "app.cfg"
+        config.write_text(f"embedder.raw={raw}\n")
+        code, out, err = run_cli(
+            capsys, "--config", str(config), "index", "build",
+            "--corpus", str(corpus_file), "--out", str(tmp_path / "c.idx"),
+        )
+        assert code == 2
+        assert err == f"error: config key embedder.raw: cannot parse {raw!r}\n"
+
+    @pytest.mark.parametrize("raw,normalize", [("Yes", False), ("OFF", True), ("0", True)])
+    def test_bool_spellings(self, capsys, tmp_path, corpus_file, raw, normalize):
+        from boolsearch.index import load_index
+
+        config = tmp_path / "app.cfg"
+        config.write_text(f"embedder.raw={raw}\n")
+        code, *_ = run_cli(
+            capsys, "--config", str(config), "index", "build",
+            "--corpus", str(corpus_file), "--out", str(tmp_path / "c.idx"),
+        )
+        assert code == 0
+        assert load_index(tmp_path / "c.idx").spec.normalize is normalize
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_unknown_log_level_is_runtime_error(self, capsys, tmp_path, source):
+        config = tmp_path / "app.cfg"
+        config.write_text("log_level=bogus\n")
+        argv = ["--log-level", "bogus"] if source == "flag" else ["--config", str(config)]
+        code, out, err = run_cli(capsys, *argv, "stats", "--judgments", "absent.jsonl")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: unknown log level 'BOGUS'; "
+            "expected one of DEBUG, INFO, WARNING, ERROR, CRITICAL\n"
+        )
+
+    def test_every_key_has_a_flag(self):
+        def dests(parser):
+            for action in parser._actions:
+                yield action.dest
+                if isinstance(action.choices, dict):  # subcommands
+                    for sub in action.choices.values():
+                        yield from dests(sub)
+
+        flags = set(dests(cli.build_parser()))
+        assert {flag for flag, _, _ in cli.CONFIG_KEYS.values()} <= flags

@@ -15,7 +15,7 @@ from boolsearch.embed import (
     tokenize,
 )
 from boolsearch.errors import EmbeddingError, EmbeddingServiceError
-from boolsearch.index import build_index
+from boolsearch.index import Index, build_index, embed_query
 
 from _planted import oracle_hashed_bow_embed, oracle_tokenize
 from _server import ScriptedServer
@@ -146,7 +146,7 @@ def assert_same_bytes(got, want, dim):
 
 
 class TestHashedBowMatchesOracle:
-    """The per-call memo and batched accumulation against one fresh hash
+    """The per-call token table and batched accumulation against one fresh hash
     per token occurrence, byte for byte."""
 
     @settings(max_examples=300, deadline=None)
@@ -169,7 +169,7 @@ class TestHashedBowMatchesOracle:
     )
     @example(["alpha beta", "beta gamma"], 256, [1, 2])
     def test_back_to_back_calls_with_other_seeds(self, texts, dim, seeds):
-        # a memo that outlived its call would hand the next seed stale buckets
+        # a table that outlived its call would hand the next seed stale codes
         for seed in seeds:
             spec = EmbedderSpec(dim=dim, normalize=False, seed=seed)
             assert_same_bytes(embed_texts(spec, texts), oracle_embed_texts(spec, texts), dim)
@@ -177,19 +177,74 @@ class TestHashedBowMatchesOracle:
     @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("similarity", ["dot", "cosine"])
     def test_build_index_matrix(self, similarity, normalize):
-        # 2,500 passages span three build chunks, the last one partial
+        # 2,500 passages span three build chunks, the last one partial, and
+        # share their words; built back to back with other seeds, so a token
+        # table that outlived its build would hand the next one stale codes
         rng = np.random.default_rng(17)
         words = ["Alpha", "beta", "GAMMA", "d3lta", "\u00e9t\u00e9", "x", "?!", "k\u212a"]
         corpus = Corpus(
             Passage(f"p{i:05d}", " ".join(rng.choice(words, size=int(rng.integers(1, 30)))))
             for i in range(2500)
         )
-        spec = EmbedderSpec(dim=64, normalize=normalize, seed=-3)
-        expected = np.vstack(oracle_embed_texts(spec, list(corpus.texts)))
-        if similarity == "cosine":
-            expected = embed.normalize_rows(expected)
-        matrix = build_index(corpus, spec, similarity).matrix
-        assert matrix.tobytes() == expected.astype(np.float32).tobytes()
+        for seed in (-3, 4, -3):
+            spec = EmbedderSpec(dim=64, normalize=normalize, seed=seed)
+            expected = np.vstack(oracle_embed_texts(spec, list(corpus.texts)))
+            if similarity == "cosine":
+                expected = embed.normalize_rows(expected)
+            matrix = build_index(corpus, spec, similarity).matrix
+            assert matrix.tobytes() == expected.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("kind", ["hashed-bow", "remote"])
+    def test_no_texts_give_no_rows(self, kind):
+        with ScriptedServer(_echo_embedder(16)) as server:
+            endpoint = server.url if kind == "remote" else ""
+            rows = embed_texts(EmbedderSpec(kind=kind, dim=16, endpoint=endpoint), [])
+        assert rows.shape == (0, 16) and rows.dtype == np.float64
+        assert not server.requests
+
+    def test_remote_rows_normalize_as_each_row_alone(self):
+        rows = remote_rows()
+        with ScriptedServer(_serve_rows(rows)) as server:
+            spec = EmbedderSpec(kind="remote", dim=24, endpoint=server.url)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = embed_texts(spec, [f"t{i}" for i in range(len(rows))])
+                want = [v / np.linalg.norm(v) if v.any() else v for v in rows]
+        assert_same_bytes(got, want, 24)
+        assert got[4].tobytes() == rows[4].tobytes()  # -0.0 entries stay
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_cosine_query_divides_as_np_linalg_norm(self, normalize):
+        rows = np.delete(remote_rows(), 5, axis=0)  # no row whose norm underflows
+        with ScriptedServer(_serve_rows(rows)) as server:
+            spec = EmbedderSpec(kind="remote", dim=24, normalize=normalize,
+                                endpoint=server.url)
+            index = Index(("p",), np.ones((1, 24), np.float32), "cosine", spec,
+                          spec.fingerprint())
+            for i, v in enumerate(rows):
+                if normalize and v.any():
+                    v = v / np.linalg.norm(v)
+                want = v / np.linalg.norm(v) if v.any() else v
+                assert embed_query(index, f"t{i}").tobytes() == want.tobytes()
+
+
+def remote_rows():
+    """Non-integer rows over a wide range of magnitudes, with -0.0 entries,
+    zero rows of either sign, and in row 5 one whose squared norm underflows."""
+    rng = np.random.default_rng(29)
+    rows = rng.standard_normal((150, 24)) * 10.0 ** rng.integers(-150, 150, (150, 1))
+    rows[rng.random(rows.shape) < 0.3] = -0.0
+    rows[3], rows[4] = 0.0, -0.0
+    rows[5] = -0.0
+    rows[5, 7] = 5e-324
+    return rows
+
+
+def _serve_rows(rows):
+    # serves rows[i] for text "t{i}"
+    def respond(path, body, headers):
+        return 200, {"vectors": [rows[int(text[1:])].tolist() for text in body["texts"]]}
+
+    return respond
 
 
 def _echo_embedder(dim):
@@ -205,6 +260,27 @@ class TestRemoteEmbedder:
     @pytest.fixture(autouse=True)
     def fast_backoff(self, monkeypatch):
         monkeypatch.setattr(embed, "BACKOFF_S", 0.01)
+
+    def test_build_index_names_the_failing_chunk(self):
+        # 2,100 passages make three build chunks; every text of the second
+        # one is refused
+        second = {f"t{i}" for i in range(1024, 2048)}
+
+        def refuse_second_chunk(path, body, headers):
+            if second.intersection(body["texts"]):
+                return 400, {"error": "refused"}
+            return _echo_embedder(8)(path, body, headers)
+
+        corpus = Corpus(Passage(f"p{i:05d}", f"t{i}") for i in range(2100))
+        with ScriptedServer(refuse_second_chunk) as server:
+            spec = EmbedderSpec(kind="remote", dim=8, endpoint=server.url)
+            with pytest.raises(EmbeddingError, match="400") as info:
+                build_index(corpus, spec)
+            sent = [text for r in server.requests for text in r["body"]["texts"]]
+        assert "passages 'p01024'..'p02047'" in str(info.value)
+        assert isinstance(info.value.__cause__, EmbeddingServiceError)
+        assert set(sent) >= {f"t{i}" for i in range(1024)}  # the first chunk, whole
+        assert not set(sent) & {f"t{i}" for i in range(2048, 2100)}  # never the third
 
     def test_vectors_in_order(self):
         with ScriptedServer(_echo_embedder(8)) as server:

@@ -6,6 +6,7 @@ BoolSearchError subclasses, which the CLI turns into exit code 2.
 
 import functools
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -138,8 +139,16 @@ def test_load_judgments(tmp_path, blob):
 @example(blob=DEEP)
 @example(blob=b'{"question_id": [], "items": []}')
 @example(blob=b'{"question_id": "q", "items": [{"doc_id": "d", "score": ' + HUGE_INT + b"}]}")
+@example(blob=b'{"question_id": "q"}')
+@example(blob=b'{"question_id": "q", "items": [{"doc_id": "d"}]}')
 def test_load_run(tmp_path, blob):
-    only_typed_errors(load_run, tmp_path / "run.jsonl", blob)
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(blob)
+    try:
+        load_run(path)
+    except BoolSearchError as exc:
+        # a missing field is named as one, not by a bare KeyError text
+        assert not re.fullmatch(r".*:\d+: '[^']*'", str(exc), re.DOTALL)
 
 
 @FUZZ

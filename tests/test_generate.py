@@ -115,7 +115,7 @@ class TestClusterPassages:
     def test_recovers_planted_two_topic_partition(self):
         corpus, truth = planted_corpus(n_clusters=2, per_cluster=6)
         spec = EmbedderSpec(dim=64, normalize=True, seed=1)
-        matrix = np.vstack(embed_texts(spec, list(corpus.texts)))
+        matrix = embed_texts(spec, list(corpus.texts))
         reduced = reduce_dims(matrix, rank=8, sample_cap=12, seed=0)
 
         # brute-force ground check: every cross-topic distance exceeds

@@ -439,9 +439,17 @@ class TestTopK:
             matrix[rows, j] = rng.integers(1, 4, count) * rng.choice([-0.5, 0.25, 1.0], count)
         zeros = (matrix == 0) & (rng.random((n, dim)) < 0.3)
         matrix[zeros] = -0.0  # -0.0 entries inside posted columns too
+        # float32 subnormal entries, which count as nonzero rows, also after
+        # a cosine row norm of at most sqrt(dim * 9) divides them
+        tiny = (matrix != 0) & (rng.random((n, dim)) < 0.1)
+        matrix[tiny] = np.sign(matrix[tiny]) * rng.choice([2.0**-127, 2.0**-130], tiny.sum())
         if similarity == "cosine":
             matrix = normalize_rows(matrix)
         index = scripted.index(matrix, similarity)
+        subnormal = (index.matrix != 0) & (np.abs(index.matrix) < np.finfo(np.float32).tiny)
+        assert subnormal[:, :2].any(axis=0).all()
+        assert (np.count_nonzero(index.matrix, axis=0) == counts).all()
+        assert (np.signbit(index.matrix) & (index.matrix == 0))[:, :2].any(axis=0).all()
         assert index._dense.tolist() == [count > n // 8 for count in counts]
         for j, count in enumerate(counts):
             if count <= n // 8:
