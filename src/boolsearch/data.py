@@ -179,21 +179,22 @@ def load_corpus(path: str | Path) -> Corpus:
     Blank lines are skipped. Raises CorpusFormatError with the 1-based
     line number on malformed records and on duplicate ids.
     """
-    passages = []
-    seen: set[str] = set()
+    passages, linenos = [], []
     for lineno, line in read_lines(path, CorpusFormatError):
         line = line.rstrip("\n")
         if not line.strip():
             continue
         try:
-            passage = _parse_corpus_line(line)
+            passages.append(_parse_corpus_line(line))
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
-        if passage.id in seen:
-            raise CorpusFormatError(f"{path}:{lineno}: duplicate passage id {passage.id!r}")
-        seen.add(passage.id)
-        passages.append(passage)
-    return Corpus(passages)
+        linenos.append(lineno)
+    try:
+        return Corpus(passages)  # the one check of the ids
+    except CorpusFormatError as exc:  # a duplicate id: name its second line
+        first: dict[str, int] = {}
+        at = next(i for i, p in enumerate(passages) if first.setdefault(p.id, i) != i)
+        raise CorpusFormatError(f"{path}:{linenos[at]}: {exc}") from None
 
 
 def _parse_corpus_line(line: str) -> Passage:

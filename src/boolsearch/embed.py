@@ -9,6 +9,7 @@ The remote client speaks a minimal POST /embed protocol for real encoders.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -76,7 +77,35 @@ def hashed_bow_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
     two choices stay decorrelated. Tokens accumulate, so the raw vector
     is additive over text concatenation and order-invariant.
     """
-    return _hashed_bow_rows([text], dim, seed, {})[0]
+    return embed_text(EmbedderSpec(dim=dim, normalize=False, seed=seed), text)
+
+
+def embed_text(spec: EmbedderSpec, text: str) -> np.ndarray:
+    """embed_texts(spec, [text])[0]; a hashed text skips the batch path: its
+    signed bucket counts are small integers, so math.sqrt of the exact sum
+    of their squares is the norm np.sqrt(np.vecdot(...)) gives that path."""
+    if spec.kind != "hashed-bow":
+        return embed_texts(spec, [text])[0]
+    keyed = _keyed_hash(spec.seed)
+    counts: dict[int, int] = {}
+    for token in tokenize(text):
+        h = keyed.copy()
+        h.update(token.encode())  # tokens are ASCII
+        (value,) = _U64.unpack(h.digest())
+        bucket = value % spec.dim
+        counts[bucket] = counts.get(bucket, 0) + (1 if value >> 63 else -1)
+    vec = np.zeros(spec.dim)
+    vec[list(counts)] = list(counts.values())
+    square = sum(count * count for count in counts.values())
+    if spec.normalize and square:
+        vec /= math.sqrt(square)
+    return vec
+
+
+def _keyed_hash(seed: int):
+    """The keyed blake2b that every token digest of one seed copies."""
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    return hashlib.blake2b(digest_size=8, key=key)
 
 
 def _hashed_bow_rows(
@@ -90,10 +119,7 @@ def _hashed_bow_rows(
     however many of the call's chunks it recurs in. The ±1.0 signs sum to
     small integers, exact in any order, so one bincount adds up many texts.
     """
-    if dim < 8:
-        raise EmbeddingError(f"embedder dim must be >= 8, got {dim}")
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    keyed = hashlib.blake2b(digest_size=8, key=key)
+    keyed = _keyed_hash(seed)
     n = len(texts)
     token_lists = [tokenize(text) for text in texts]
     for token in set(chain.from_iterable(token_lists)).difference(codes):
@@ -101,13 +127,6 @@ def _hashed_bow_rows(
         h.update(token.encode())  # tokens are ASCII
         (value,) = _U64.unpack(h.digest())
         codes[token] = value % dim << 1 | value >> 63
-    if n == 1:  # a query: adding in place beats numpy's per-call cost
-        rows = np.zeros((1, dim))
-        row = rows[0]
-        for token in token_lists[0]:
-            code = codes[token]
-            row[code >> 1] += 1.0 if code & 1 else -1.0
-        return rows
     lengths = list(map(len, token_lists))
     tokens = chain.from_iterable(token_lists)
     flat = np.fromiter(map(codes.__getitem__, tokens), np.intp, sum(lengths))
@@ -153,7 +172,11 @@ def _embed(spec: EmbedderSpec, texts: list[str], codes: dict[str, int]) -> np.nd
         # np.linalg.norm of one row does (BLAS ddot), so the quotients are
         # those of v / np.linalg.norm(v); a row with no nonzero entry stays
         norms = np.sqrt(np.vecdot(rows, rows))[:, None]
-        np.divide(rows, norms, out=rows, where=rows.any(axis=1, keepdims=True))
+        nonzero = rows.any(axis=1, keepdims=True)
+        under = np.flatnonzero(nonzero & (norms == 0.0))
+        if len(under):  # only a service's row can be this small
+            raise EmbeddingServiceError(f"row {under[0]}'s norm underflows to 0")
+        np.divide(rows, norms, out=rows, where=nonzero)
     return rows
 
 

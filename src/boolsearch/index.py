@@ -48,7 +48,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .data import Corpus, atomic_write
-from .embed import EmbedderSpec, embed_chunks, embed_texts, normalize_rows
+from .embed import EmbedderSpec, embed_chunks, embed_text, normalize_rows
 from .errors import BoolSearchError, EmbeddingError, IndexFormatError
 
 logger = logging.getLogger(__name__)
@@ -258,7 +258,7 @@ def build_index(
 
 
 def embed_query(index: Index, query: str) -> np.ndarray:
-    vec = embed_texts(index.spec, [query])[0]
+    vec = embed_text(index.spec, query)
     if index.similarity == "cosine" and np.count_nonzero(vec):
         # np.linalg.norm of a vector, without its Python-level dispatch
         vec = vec / math.sqrt(vec.dot(vec))
@@ -273,7 +273,7 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
     vec = embed_query(index, query)
     matrix = index.matrix
     n = len(matrix)
-    eps = _screen_error(index.dim, index._row_norm_bound, float(np.linalg.norm(vec)))
+    eps = _screen_error(index.dim, index._row_norm_bound, math.sqrt(vec.dot(vec)))
     nz = np.flatnonzero(vec)
     terms = vec[nz]
     if math.isinf(eps):  # the screen could overflow float32: keep every row
@@ -294,8 +294,8 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
     gathered = matrix[cand[:, None], nz]
     prods = gathered.astype(np.float64) * terms
     hit = prods.any(axis=1)
-    free = whole = cand[:0]
-    if not hit.all():
+    band = not hit.all()  # a zero band: some survivor has no nonzero product
+    if band:
         # a row of zero products scores +0.0 once one of them is +0.0: in
         # the query's columns, or off them, where a query zero times a row
         # entry of its own sign is +0.0; the row's count of entries of clear
@@ -313,17 +313,16 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
         # rows of -0.0 products only are summed whole, so the sign of their
         # zero never rests on the sum's start value
         whole = zero[~plus]
+        whole_scores = (matrix[whole].astype(np.float64, order="C") * vec).sum(axis=1)
         cand, prods = cand[hit], prods[hit]
     # a row with a nonzero product thus sums to the same bits with +0.0 in
     # place of its other products
     block = np.zeros((len(cand), index.dim))  # C-ordered
     block[:, nz] = prods
-    cand = np.concatenate((cand, whole, free))
-    scores = np.concatenate((
-        block.sum(axis=1),
-        (matrix[whole].astype(np.float64, order="C") * vec).sum(axis=1),
-        np.zeros(len(free)),
-    ))
+    scores = block.sum(axis=1)
+    if band:
+        cand = np.concatenate((cand, whole, free))
+        scores = np.concatenate((scores, whole_scores, np.zeros(len(free))))
     # lexsort: last key is primary, so descending score then ascending id
     order = np.lexsort((index._id_rank[cand], -scores))[:k]
     # Python floats, not numpy scalars: a score's repr is part of the output
@@ -350,12 +349,13 @@ def _screen(index: Index, nz: np.ndarray, terms: np.ndarray) -> np.ndarray:
     if dense.all():
         screen = np.zeros(len(index.matrix), dtype=np.float32)
     else:
-        posted = [index._postings[j] for j in nz[~dense]]
+        sparse = ~dense
+        posted = [index._postings[j] for j in nz[sparse].tolist()]
         rows = np.concatenate([rows for rows, _ in posted])
         values = np.concatenate([values for _, values in posted])
-        weights = values * np.repeat(terms[~dense], [len(rows) for rows, _ in posted])
+        weights = values * np.repeat(terms[sparse], [len(rows) for rows, _ in posted])
         screen = np.bincount(rows, weights, minlength=len(index.matrix)).astype(np.float32)
-    for j, term in zip(nz[dense], terms[dense].astype(np.float32)):
+    for j, term in zip(nz[dense].tolist(), terms[dense].astype(np.float32)):
         screen += index.matrix[:, j] * term
     return screen
 

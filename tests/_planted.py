@@ -20,6 +20,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from boolsearch.data import Corpus, Passage
+from boolsearch.embed import embed_texts
 from boolsearch.errors import BoolSearchError, GenerationError
 from boolsearch.generate import Cluster, cosine_distances
 from boolsearch.index import MAGIC, SIMILARITIES, Index, embed_query
@@ -78,6 +79,15 @@ def oracle_hashed_bow_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
         digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
         h = int.from_bytes(digest, "little")
         vec[h % dim] += 1.0 if (h >> 63) & 1 else -1.0
+    return vec
+
+
+def oracle_embed_query(index: Index, query_text: str) -> np.ndarray:
+    """embed_query through the batch path it replaced: embed_texts of the one
+    text, normalized with the rows of a batch, then the cosine division."""
+    vec = embed_texts(index.spec, [query_text])[0]
+    if index.similarity == "cosine" and np.count_nonzero(vec):
+        vec = vec / math.sqrt(vec.dot(vec))
     return vec
 
 

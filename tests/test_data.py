@@ -115,7 +115,12 @@ class TestLoadCorpus:
     def test_duplicate_id_names_offender(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_lines(path, ['{"id":"p1","text":"a"}', '{"id":"p1","text":"b"}'])
-        with pytest.raises(CorpusFormatError, match="p1"):
+        with pytest.raises(CorpusFormatError, match=":2: .*p1"):
+            load_corpus(path)
+        # a blank line counts as a line, and the first id repeated names the
+        # line of its second occurrence, not of a later duplicate
+        write_lines(path, ["p0\ta", "", "p1\tb", "p0\tc", "p1\td"])
+        with pytest.raises(CorpusFormatError, match=r"corpus\.jsonl:4: .*'p0'"):
             load_corpus(path)
 
     def test_tab_separated_records(self, tmp_path):

@@ -17,7 +17,7 @@ from boolsearch.embed import (
 from boolsearch.errors import EmbeddingError, EmbeddingServiceError
 from boolsearch.index import Index, build_index, embed_query
 
-from _planted import oracle_hashed_bow_embed, oracle_tokenize
+from _planted import oracle_embed_query, oracle_hashed_bow_embed, oracle_tokenize
 from _server import ScriptedServer
 
 
@@ -131,6 +131,28 @@ SEEDS = st.one_of(
 )
 
 
+# few tokens over few buckets: repeats, and signs that cancel in a bucket
+WORD_SOUP = st.lists(st.sampled_from([f"w{i}" for i in range(16)]), max_size=10).map(" ".join)
+
+
+def one_row_index(spec: EmbedderSpec, similarity: str) -> Index:
+    return Index(("p",), np.ones((1, spec.dim), np.float32), similarity, spec,
+                 spec.fingerprint())
+
+
+def cancelling_pair(dim: int, seed: int) -> tuple[str, str, int]:
+    """Two tokens that hash to one bucket with opposite signs, and the bucket."""
+    first = {}
+    for i in range(1000):
+        vec = oracle_hashed_bow_embed(f"t{i}", dim, seed)
+        (bucket,) = np.flatnonzero(vec)
+        sign = vec[bucket]
+        if (bucket, -sign) in first:
+            return first[bucket, -sign], f"t{i}", int(bucket)
+        first.setdefault((bucket, sign), f"t{i}")
+    raise AssertionError("no cancelling pair among 1,000 tokens")
+
+
 def oracle_embed_texts(spec: EmbedderSpec, texts: list[str]) -> list[np.ndarray]:
     vectors = [oracle_hashed_bow_embed(t, spec.dim, spec.seed) for t in texts]
     if spec.normalize:
@@ -174,6 +196,36 @@ class TestHashedBowMatchesOracle:
             spec = EmbedderSpec(dim=dim, normalize=False, seed=seed)
             assert_same_bytes(embed_texts(spec, texts), oracle_embed_texts(spec, texts), dim)
 
+    @settings(max_examples=300, deadline=None)
+    @given(TEXTS | WORD_SOUP, st.sampled_from([8, 13, 256]), SEEDS, st.booleans(),
+           st.sampled_from(["dot", "cosine"]))
+    @example("Cat cat CAT", 8, -1, True, "cosine")
+    @example("w1 w2 w3 w1 w1", 8, 2**64 + 7, False, "dot")
+    def test_embed_query_matches_batch_path(self, text, dim, seed, normalize, similarity):
+        # one text skips the batch path; its bytes must be the batch path's
+        index = one_row_index(EmbedderSpec(dim=dim, normalize=normalize, seed=seed),
+                              similarity)
+        got = embed_query(index, text)
+        assert_same_bytes([got], [oracle_embed_query(index, text)], dim)
+
+    @pytest.mark.parametrize("seed", [0, -5, 2**64 + 7])
+    @pytest.mark.parametrize("dim", [8, 13, 256])
+    def test_embed_query_where_signs_cancel(self, dim, seed):
+        # two tokens of one bucket and opposite signs: "a b" leaves +0.0
+        # there and nothing else, "a b a" and "b a b" a count of one
+        a, b, bucket = cancelling_pair(dim, seed)
+        for text in (f"{a} {b}", f"{a} {b} {a}", f"{b} {a} {b}"):
+            raw = hashed_bow_embed(text, dim, seed)
+            assert abs(raw[bucket]) == len(text.split()) - 2
+            for normalize in (True, False):
+                for similarity in ("dot", "cosine"):
+                    index = one_row_index(
+                        EmbedderSpec(dim=dim, normalize=normalize, seed=seed), similarity
+                    )
+                    got = embed_query(index, text)
+                    assert_same_bytes([got], [oracle_embed_query(index, text)], dim)
+        assert hashed_bow_embed(f"{a} {b}", dim, seed).tobytes() == bytes(8 * dim)
+
     @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("similarity", ["dot", "cosine"])
     def test_build_index_matrix(self, similarity, normalize):
@@ -206,15 +258,14 @@ class TestHashedBowMatchesOracle:
         rows = remote_rows()
         with ScriptedServer(_serve_rows(rows)) as server:
             spec = EmbedderSpec(kind="remote", dim=24, endpoint=server.url)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                got = embed_texts(spec, [f"t{i}" for i in range(len(rows))])
-                want = [v / np.linalg.norm(v) if v.any() else v for v in rows]
+            got = embed_texts(spec, [f"t{i}" for i in range(len(rows))])
+        want = [v / np.linalg.norm(v) if v.any() else v for v in rows]
         assert_same_bytes(got, want, 24)
         assert got[4].tobytes() == rows[4].tobytes()  # -0.0 entries stay
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_cosine_query_divides_as_np_linalg_norm(self, normalize):
-        rows = np.delete(remote_rows(), 5, axis=0)  # no row whose norm underflows
+        rows = remote_rows()
         with ScriptedServer(_serve_rows(rows)) as server:
             spec = EmbedderSpec(kind="remote", dim=24, normalize=normalize,
                                 endpoint=server.url)
@@ -228,14 +279,12 @@ class TestHashedBowMatchesOracle:
 
 
 def remote_rows():
-    """Non-integer rows over a wide range of magnitudes, with -0.0 entries,
-    zero rows of either sign, and in row 5 one whose squared norm underflows."""
+    """Non-integer rows over a wide range of magnitudes, with -0.0 entries
+    and zero rows of either sign."""
     rng = np.random.default_rng(29)
     rows = rng.standard_normal((150, 24)) * 10.0 ** rng.integers(-150, 150, (150, 1))
     rows[rng.random(rows.shape) < 0.3] = -0.0
     rows[3], rows[4] = 0.0, -0.0
-    rows[5] = -0.0
-    rows[5, 7] = 5e-324
     return rows
 
 
@@ -369,6 +418,22 @@ class TestRemoteEmbedder:
             with pytest.raises(EmbeddingServiceError, match="malformed"):
                 embed_texts(spec, ["a"])
         assert len(server.requests) == 1  # a bad reply is not retried
+
+    @pytest.mark.parametrize("similarity", ["dot", "cosine"])
+    def test_row_whose_norm_underflows_is_refused(self, similarity):
+        # finite and nonzero, but its squared norm rounds to 0: dividing by
+        # that norm would put inf and NaN into the index
+        rows = np.zeros((3, 24))
+        rows[0, 0] = rows[2, 5] = 1.0
+        rows[1, 7] = 5e-324
+        with ScriptedServer(_serve_rows(rows)) as server:
+            spec = EmbedderSpec(kind="remote", dim=24, endpoint=server.url)
+            with pytest.raises(EmbeddingServiceError, match="row 1's norm underflows to 0"):
+                embed_texts(spec, ["t0", "t1", "t2"])
+            corpus = Corpus(Passage(f"p{i}", f"t{i}") for i in range(3))
+            with pytest.raises(EmbeddingError, match="'p0'..'p2'.*row 1") as info:
+                build_index(corpus, spec, similarity)
+        assert isinstance(info.value.__cause__, EmbeddingServiceError)
 
     def test_non_finite_values_rejected(self):
         with ScriptedServer(lambda *_: (200, {"vectors": [[0.0] * 7 + [1e309]]})) as server:

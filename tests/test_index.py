@@ -388,6 +388,22 @@ class TestTopK:
                 assert_matches_oracle(index, query, k)
             assert oracle_top_k(index, query, 200)[-1][1] == 0.0
 
+    @pytest.mark.parametrize("similarity", SIMILARITIES)
+    def test_rescoring_with_and_without_a_zero_band_matches_oracle(self, similarity):
+        # one query, two k: at k = 3 the k-th screen clears 2 eps, so every
+        # survivor has a nonzero product and no zero band is built; at k = n
+        # the threshold is <= 0 and rows of zero products survive with them
+        index = build_index(random_corpus(np.random.default_rng(41), 300), SPEC, similarity)
+        for query in ("w5", "w2 w17"):
+            vec = embed_query(index, query)
+            nz = np.flatnonzero(vec)
+            screen = np.sort(_screen(index, nz, vec[nz]))[::-1]
+            eps = _screen_error(index.dim, index._row_norm_bound, float(np.linalg.norm(vec)))
+            assert screen[2] > 2.0 * eps and screen[-1] <= 0.0
+            assert (index.matrix[:, nz] == 0).all(axis=1).any()
+            for k in (3, len(screen)):
+                assert_matches_oracle(index, query, k)
+
     def test_ids_ending_in_nul_inside_the_zero_band(self):
         # "x" < "x\x00" < "x0" in Python; a numpy str_ array reads "x\x00" as "x"
         words = ["alpha", "beta gamma", "delta", "beta"]
