@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import reprlib
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -170,13 +171,10 @@ def _embed(spec: EmbedderSpec, texts: list[str], codes: dict[str, int]) -> np.nd
     if spec.normalize:
         # np.vecdot takes each row's dot product with itself as
         # np.linalg.norm of one row does (BLAS ddot), so the quotients are
-        # those of v / np.linalg.norm(v); a row with no nonzero entry stays
+        # those of v / np.linalg.norm(v); a row with no nonzero entry stays,
+        # and only such a row has norm 0 (_remote_embed refuses the others)
         norms = np.sqrt(np.vecdot(rows, rows))[:, None]
-        nonzero = rows.any(axis=1, keepdims=True)
-        under = np.flatnonzero(nonzero & (norms == 0.0))
-        if len(under):  # only a service's row can be this small
-            raise EmbeddingServiceError(f"row {under[0]}'s norm underflows to 0")
-        np.divide(rows, norms, out=rows, where=nonzero)
+        np.divide(rows, norms, out=rows, where=norms != 0.0)
     return rows
 
 
@@ -185,8 +183,9 @@ def _remote_embed(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:
 
     Requests carry {"texts": [...]} bodies of at most REMOTE_BATCH_SIZE
     texts and expect {"vectors": [[...]]} back, one finite spec.dim row per
-    text. Batches run on REMOTE_WORKERS threads. A bearer token is read from
-    BOOLSEARCH_EMBED_TOKEN if set.
+    text whose norm neither overflows nor, unless it is a zero row,
+    underflows to 0. Batches run on REMOTE_WORKERS threads. A bearer token
+    is read from BOOLSEARCH_EMBED_TOKEN if set.
     """
     url = spec.endpoint.rstrip("/") + "/embed"
     token = os.environ.get(TOKEN_ENV_VAR)
@@ -234,4 +233,14 @@ def _remote_embed(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:
         with ThreadPoolExecutor(max_workers=REMOTE_WORKERS) as pool:
             results = list(pool.map(embed_batch, batches))
     vectors = [vec for batch in results for vec in batch]
-    return np.array(vectors, dtype=np.float64).reshape(len(texts), spec.dim)
+    rows = np.array(vectors, dtype=np.float64).reshape(len(texts), spec.dim)
+    # a nonzero row whose norm underflows to 0 or overflows: no division
+    # makes a unit row of it, and float32 would store zeros or infinities
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        squares = np.vecdot(rows, rows)
+    bad = np.flatnonzero((squares == math.inf) | (squares == 0.0) & rows.any(axis=1))
+    if len(bad):
+        i = int(bad[0])
+        fault = "overflows" if squares[i] else "underflows to 0"
+        raise EmbeddingServiceError(f"row {i}'s norm {fault} (text {reprlib.repr(texts[i])})")
+    return rows

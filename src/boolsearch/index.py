@@ -19,11 +19,11 @@ query's columns alone: the other products are zeros, which change a float64
 sum only in the sign of a zero result, and that result is -0.0 only if
 every product is -0.0 (IEEE 754-2019 section 6.3). So a row with a nonzero
 product is summed with +0.0 in place of those zeros, in the per-row
-reduction order that defines a score; a row of zero products with one +0.0
-among them, in the query's columns or proven off them by its count of
-entries of clear sign, scores +0.0 with no arithmetic; and a row of -0.0
-products only is summed whole. Results are bit-identical to scoring and
-fully sorting every row.
+reduction order that defines a score. Rows of zero products score +0.0 or
+-0.0 and tie, so only the k of them with the smallest ids are scored: +0.0
+with no arithmetic if one of their products is +0.0, else by a sum of the
+whole row. Results are bit-identical to scoring and fully sorting every
+row.
 
 Index file layout (little-endian): magic "BDIX", u32 version, u8 similarity
 (0=dot, 1=cosine), u32 dim, u64 row count, u32-length-prefixed embedder-spec
@@ -57,7 +57,9 @@ MAGIC = b"BDIX"
 FORMAT_VERSION = 2  # version 1 files still load
 SIMILARITIES = ("dot", "cosine")
 
-_CHUNK_ROWS = 1024  # rows per embedding batch, and per read of a version 1 payload
+# rows per embedding batch, per read of a version 1 payload and per block of
+# zero-band rows read whole
+_CHUNK_ROWS = 1024
 
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
@@ -130,7 +132,6 @@ class Index:
     # derived once here, never lazily: one Index is shared across threads
     _id_rank: np.ndarray = field(init=False, repr=False, compare=False)
     _row_norm_bound: float = field(init=False, repr=False, compare=False)
-    _sign_clear: np.ndarray = field(init=False, repr=False, compare=False)
     # per column: (row ids, values) of its nonzero entries, or None if dense
     _postings: tuple = field(init=False, repr=False, compare=False)
     _dense: np.ndarray = field(init=False, repr=False, compare=False)
@@ -169,7 +170,6 @@ class Index:
         # cannot overflow float64, so a non-finite sum means a non-finite entry
         n = len(self.doc_ids)
         sq_norms = np.zeros(n)
-        sign_set = np.zeros(n, dtype=np.int32)  # per row
         # a column with at most n // 8 nonzero rows gets postings: their
         # ascending ids (int32 while they fit) and float32 values, so all
         # postings together take at most a quarter of the matrix's bytes
@@ -177,7 +177,6 @@ class Index:
         postings = []
         with np.errstate(invalid="ignore"):  # casting a signalling NaN warns
             for column in matrix.T:
-                sign_set += np.signbit(column)
                 nonzero = column != 0  # a bool mask is cheaper to scan twice
                 if np.count_nonzero(nonzero) <= n // 8:
                     rows = np.flatnonzero(nonzero)
@@ -197,7 +196,6 @@ class Index:
         ids = np.array(self.doc_ids, dtype=object)
         object.__setattr__(self, "_id_rank", np.argsort(np.argsort(ids)))
         object.__setattr__(self, "_row_norm_bound", math.sqrt(float(sq_norms.max())))
-        object.__setattr__(self, "_sign_clear", self.dim - sign_set)
         object.__setattr__(self, "_postings", tuple(postings))
         object.__setattr__(self, "_dense", dense)
 
@@ -291,29 +289,29 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
     # columns the products are zeros, which change a sum only in the sign of
     # a zero result, and that is -0.0 only if every product is -0.0 (IEEE
     # 754-2019 section 6.3)
-    gathered = matrix[cand[:, None], nz]
-    prods = gathered.astype(np.float64) * terms
+    prods = matrix[cand[:, None], nz].astype(np.float64) * terms
     hit = prods.any(axis=1)
     band = not hit.all()  # a zero band: some survivor has no nonzero product
     if band:
-        # a row of zero products scores +0.0 once one of them is +0.0: in
-        # the query's columns, or off them, where a query zero times a row
-        # entry of its own sign is +0.0; the row's count of entries of clear
-        # sign finds those when every query zero has one sign
-        miss = ~hit
+        # a row of zero products scores +0.0 or -0.0, which tie, so only
+        # the k such rows of smallest id can place
+        miss = np.flatnonzero(~hit)
+        if len(miss) > k:
+            miss = miss[np.argpartition(index._id_rank[cand[miss]], k - 1)[:k]]
         zero = cand[miss]
-        plus = ~np.signbit(prods[miss]).all(axis=1)
-        signs = np.signbit(np.delete(vec, nz))
-        if not plus.all() and len(signs) and signs.all() == signs.any():
-            clear = index._sign_clear[zero] - (~np.signbit(gathered[miss])).sum(axis=1)
-            plus |= (len(signs) - clear if signs[0] else clear) > 0
-        free = zero[plus]
-        if len(free) > k:  # tied at +0.0: only the k smallest ids can place
-            free = free[np.argpartition(index._id_rank[free], k - 1)[:k]]
-        # rows of -0.0 products only are summed whole, so the sign of their
-        # zero never rests on the sum's start value
-        whole = zero[~plus]
-        whole_scores = (matrix[whole].astype(np.float64, order="C") * vec).sum(axis=1)
+        # every product of such a row is a zero whose sign is its factors'
+        # signs xor-ed, and one +0.0 product makes any sum of them +0.0; a
+        # row of -0.0 products only is summed whole, so the sign of its zero
+        # never rests on the sum's start value. Rows of -0.0 products in the
+        # query's columns are read whole _CHUNK_ROWS at a time
+        zero_scores = np.zeros(len(zero))
+        maybe = np.flatnonzero(np.signbit(prods[miss]).all(axis=1))
+        for start in range(0, len(maybe), _CHUNK_ROWS):
+            part = maybe[start : start + _CHUNK_ROWS]
+            rows = matrix[zero[part]]
+            minus = (np.signbit(rows) != np.signbit(vec)).all(axis=1)
+            rows = rows[minus].astype(np.float64, order="C")
+            zero_scores[part[minus]] = (rows * vec).sum(axis=1)
         cand, prods = cand[hit], prods[hit]
     # a row with a nonzero product thus sums to the same bits with +0.0 in
     # place of its other products
@@ -321,8 +319,8 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
     block[:, nz] = prods
     scores = block.sum(axis=1)
     if band:
-        cand = np.concatenate((cand, whole, free))
-        scores = np.concatenate((scores, whole_scores, np.zeros(len(free))))
+        cand = np.concatenate((cand, zero))
+        scores = np.concatenate((scores, zero_scores))
     # lexsort: last key is primary, so descending score then ascending id
     order = np.lexsort((index._id_rank[cand], -scores))[:k]
     # Python floats, not numpy scalars: a score's repr is part of the output

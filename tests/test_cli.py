@@ -5,14 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from boolsearch import cli, generate
 from boolsearch.cli import dispatch, load_config
 from boolsearch.data import load_judgments, save_corpus
+from boolsearch.embed import EmbedderSpec
 from boolsearch.errors import BoolSearchError
+from boolsearch.index import Index, save_index
 
 from _planted import planted_corpus
+from _server import ScriptedServer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -69,6 +73,22 @@ class TestDispatch:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "fingerprint" in err
+
+    @pytest.mark.parametrize("value,fault", [(5e-324, "underflows to 0"), (1e200, "overflows")],
+                             ids=["underflow", "overflow"])
+    def test_remote_query_with_no_unit_norm_is_runtime_error(self, capsys, tmp_path, value,
+                                                              fault):
+        vector = [value] + [0.0] * 7
+        with ScriptedServer(lambda *_: (200, {"vectors": [vector]})) as server:
+            spec = EmbedderSpec(kind="remote", dim=8, normalize=False, endpoint=server.url)
+            index = Index(("a", "b"), np.eye(2, 8, dtype=np.float32), "cosine", spec,
+                          spec.fingerprint())
+            save_index(index, tmp_path / "r.idx")
+            code, out, err = run_cli(
+                capsys, "search", "--index", str(tmp_path / "r.idx"), "--raw", "tiny"
+            )
+        assert code == 2 and out == ""
+        assert err == f"error: row 0's norm {fault} (text 'tiny')\n"
 
 
 class TestIndexAndSearch:

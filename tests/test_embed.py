@@ -435,6 +435,29 @@ class TestRemoteEmbedder:
                 build_index(corpus, spec, similarity)
         assert isinstance(info.value.__cause__, EmbeddingServiceError)
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("value,fault", [(5e-324, "underflows to 0"), (1e200, "overflows")],
+                             ids=["underflow", "overflow"])
+    def test_row_with_no_unit_norm_is_refused(self, value, fault, normalize):
+        # finite and nonzero, but its squared norm underflows to 0 or
+        # overflows: no division makes a unit row of it, and float32 would
+        # store it as zeros or infinities, so it is refused as it arrives,
+        # normalize on or off, for a dot or a cosine build
+        rows = np.zeros((3, 24))
+        rows[0, 0] = rows[2, 5] = 1.0
+        rows[1, 7] = value
+        corpus = Corpus(Passage(f"p{i}", f"t{i}") for i in range(3))
+        with ScriptedServer(_serve_rows(rows)) as server:
+            spec = EmbedderSpec(kind="remote", dim=24, normalize=normalize,
+                                endpoint=server.url)
+            message = rf"row 1's norm {fault} \(text 't1'\)"
+            with pytest.raises(EmbeddingServiceError, match=message):
+                embed_texts(spec, ["t0", "t1", "t2"])
+            for similarity in ("dot", "cosine"):
+                with pytest.raises(EmbeddingError, match=f"'p0'..'p2'.*{message}") as info:
+                    build_index(corpus, spec, similarity)
+                assert type(info.value.__cause__) is EmbeddingServiceError
+
     def test_non_finite_values_rejected(self):
         with ScriptedServer(lambda *_: (200, {"vectors": [[0.0] * 7 + [1e309]]})) as server:
             spec = EmbedderSpec(kind="remote", dim=8, normalize=False,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from boolsearch.data import Corpus, Passage
 from boolsearch.embed import EmbedderSpec, hashed_bow_embed, normalize_rows
-from boolsearch.errors import BoolSearchError, IndexFormatError
+from boolsearch.errors import BoolSearchError, EmbeddingServiceError, IndexFormatError
 from boolsearch.index import (
     SIMILARITIES,
     Index,
@@ -105,6 +105,52 @@ def assert_screen_within_bound(index, query):
     assert (np.abs(screen - scores) <= eps).all()
 
 
+def zero_band_split(index, query, k):
+    """The rows whose products with the query are all zeros, in ascending id
+    order and split after the k-th. Per row: are its products in the
+    query's nonzero columns all -0.0, and is one of its entries there
+    nonzero (a product that underflowed)?"""
+    vec = embed_query(index, query)
+    nz = np.flatnonzero(vec)
+    rows = index.matrix[:, nz].astype(np.float64)
+    prods = rows * vec[nz]
+    band = sorted(np.flatnonzero(~prods.any(axis=1)).tolist(), key=index.doc_ids.__getitem__)
+    minus = np.signbit(prods[band]).all(axis=1)
+    split = list(zip(minus.tolist(), rows[band].any(axis=1).tolist()))
+    return split[:k], split[k:]
+
+
+def top_k_peak(index, query, k):
+    """top_k(index, query, k) and the tracemalloc peak of that call."""
+    top_k(index, query, k)  # the embedding client's first-call state
+    tracemalloc.start()
+    try:
+        return top_k(index, query, k), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class FirstTermSums(np.ndarray):
+    """An array whose sums of zeros start from their first term, as a
+    sequential IEEE 754 sum does: -0.0 terms only sum to -0.0, where numpy
+    2.4's pairwise sum starts from +0.0 and gives +0.0. Its other sums are
+    numpy's. It stands for a numpy whose sums of -0.0 keep the sign."""
+
+    def sum(self, axis=None, out=None, **kwargs):
+        plain = self.view(np.ndarray)
+        negative_zeros = (np.signbit(plain) & (plain == 0)).all(axis=axis)
+        return np.where(negative_zeros, -0.0, plain.sum(axis=axis, out=out, **kwargs))
+
+
+def with_first_term_sums(index):
+    """index over a FirstTermSums copy of its matrix, so that top_k's sums
+    of the matrix's rows and the oracle's are FirstTermSums sums."""
+    matrix = FirstTermSums(index.matrix.shape, np.float32, order="F")
+    matrix[...] = index.matrix
+    matrix.flags.writeable = False
+    return Index(index.doc_ids, matrix, index.similarity, index.spec, index.fingerprint)
+
+
 class ScriptedEmbedder:
     """Indexes whose queries a scripted remote embedding service embeds as
     vectors[text], so a test picks dense vectors and signed zeros."""
@@ -116,7 +162,9 @@ class ScriptedEmbedder:
     def index(self, matrix, similarity):
         spec = EmbedderSpec(kind="remote", dim=matrix.shape[1], normalize=False,
                             endpoint=self.url)
-        ids = tuple(f"r{i:06d}" for i in range(len(matrix)))
+        # ids in a fixed shuffled order, so a row's id rank is not its position
+        order = np.random.default_rng(len(matrix)).permutation(len(matrix))
+        ids = tuple(f"r{i:06d}" for i in order)
         return Index(ids, matrix.astype(np.float32), similarity, spec, spec.fingerprint())
 
 
@@ -537,18 +585,24 @@ class TestTopK:
         for k in (1, 6, 10, 206):
             assert_matches_oracle(index, "q", k)
 
-    @pytest.mark.parametrize("zeros", ["+0.0", "-0.0", "mixed", "none"])
+    @pytest.mark.parametrize("zeros", ["+0.0", "-0.0", "mixed", "none", "underflow", "all"])
     def test_zero_products_match_oracle(self, scripted, zeros):
         # planted rows against a query nonzero in columns 0-2, whose other
-        # entries are zeros of one sign, of both, or absent: products that
-        # cancel exactly to +0.0 beside nonzero entries elsewhere, rows of
-        # -0.0 products with and without a +0.0 product off the query's
-        # columns, and heavily tied screens with fewer than k positive
+        # entries are zeros of one sign, of both, absent, or so small that
+        # their products with subnormal row entries underflow to zeros of
+        # either sign; or a query of zeros only. Products that cancel
+        # exactly to +0.0 beside nonzero entries elsewhere, rows of -0.0
+        # products with and without a +0.0 product off the query's columns,
+        # and heavily tied screens with fewer than k positive. Also with
+        # first-term sums, where a row of -0.0 products only scores -0.0, so
+        # a top_k that scored it +0.0 without summing it would differ
         rng = np.random.default_rng(61)
         n, dim = 600, 16
-        fill = {"+0.0": [0.0], "-0.0": [-0.0], "mixed": [0.0, -0.0], "none": [0.5, -0.25]}
-        scripted.vectors["q"] = [1.0, -1.0, 2.0] + [fill[zeros][i % len(fill[zeros])]
-                                                    for i in range(dim - 3)]
+        fill = {"+0.0": [0.0], "-0.0": [-0.0], "mixed": [0.0, -0.0], "none": [0.5, -0.25],
+                "underflow": [2.0**-1000, -(2.0**-1000)], "all": [0.0]}
+        head = [0.0] * 3 if zeros == "all" else [1.0, -1.0, 2.0]
+        scripted.vectors["q"] = head + [fill[zeros][i % len(fill[zeros])]
+                                        for i in range(dim - 3)]
         in_query = [
             [3.0, 1.0, -1.0],  # products 3, -1, -2: cancel to +0.0
             [-2.0, 0.0, 1.0],  # -2, -0.0, 2: cancel to +0.0
@@ -563,6 +617,7 @@ class TestTopK:
             "+0.0": lambda size: np.zeros(size),
             "-0.0": lambda size: np.full(size, -0.0),
             "any": lambda size: rng.choice([2.0, -2.0, 0.0, -0.0], size),
+            "subnormal": lambda size: rng.choice([2.0**-140, -(2.0**-140)], size),
         }
         kinds = list(off_query)
         matrix = np.empty((n, dim))
@@ -571,14 +626,28 @@ class TestTopK:
             matrix[i, :3] = in_query[pattern]
             matrix[i, 3:] = off_query[kinds[int(rng.integers(0, len(kinds)))]](dim - 3)
         index = scripted.index(matrix, "dot")
-        for k in (1, 8, 9, 40, 300, n, n + 2):
-            assert_matches_oracle(index, "q", k)
+        for scored in index, with_first_term_sums(index):
+            for k in (1, 8, 9, 40, 300, n, n + 2):
+                assert_matches_oracle(scored, "q", k)
+        if zeros != "none":
+            # the zero band holds more than k = 40 rows, and on both sides of
+            # its cut there are rows of -0.0 products only in the query's
+            # columns, rows with a +0.0 product there, or rows whose products
+            # there underflowed; a query of zeros puts every row in the band
+            kept, cut = zero_band_split(index, "q", 40)
+            assert len(kept) == 40 and cut
+            for side in kept, cut:
+                if zeros == "underflow":
+                    assert any(underflowed for _, underflowed in side)
+                elif zeros != "all":
+                    assert {minus for minus, _ in side} == {True, False}
+            assert zeros != "all" or len(kept) + len(cut) == n
 
     def test_zero_band_of_negative_zero_products_reads_no_full_rows(self, scripted):
         # a one-word query of negative sign whose bucket no row uses: every
         # product in its column is -0.0, and every row survives the screen;
-        # a +0.0 product elsewhere proves a row's +0.0 score without reading
-        # the row, so the call allocates far less than the matrix
+        # only the k of smallest id are read whole, so the call allocates
+        # far less than the matrix
         rng = np.random.default_rng(67)
         n, dim = 20_000, 64
         matrix = rng.integers(0, 3, size=(n, dim)) * (rng.random((n, dim)) < 0.1)
@@ -590,13 +659,31 @@ class TestTopK:
         scripted.vectors["q"] = [-1.0] + [0.0] * (dim - 1)
         for k in (10, 60, n):
             assert_matches_oracle(index, "q", k)
-        top_k(index, "q", 10)  # the embedding client's first-call state
-        tracemalloc.start()
-        try:
-            top_k(index, "q", 10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = top_k_peak(index, "q", 10)
+        assert peak < index.matrix.nbytes
+
+    @pytest.mark.parametrize("sums", ["numpy", "first-term"])
+    def test_zero_query_at_k_n_reads_rows_in_blocks(self, sums):
+        # a query of no tokens embeds to zeros, so every row is in the zero
+        # band and, at k = n, kept; the rows whose products could all be
+        # -0.0, half of them here, are read whole a block at a time, so the
+        # call allocates less than the matrix however many there are. With
+        # first-term sums those rows score -0.0 only if every block is summed
+        rng = np.random.default_rng(73)
+        n, dim = 20_000, 256
+        spec = EmbedderSpec(dim=dim, normalize=False)
+        matrix = (rng.standard_normal((n, dim)) * (rng.random((n, dim)) < 0.1)).astype(np.float32)
+        minus = rng.random(n) < 0.5
+        matrix[minus] = np.copysign(matrix[minus], -1.0)  # zeros become -0.0
+        ids = tuple(f"d{i:05d}" for i in rng.permutation(n))
+        index = Index(ids, matrix, "dot", spec, spec.fingerprint())
+        if sums == "first-term":
+            index = with_first_term_sums(index)
+        assert not embed_query(index, "!?").any()
+        ranked, peak = top_k_peak(index, "!?", n)
+        negative = {ids[i] for i in np.flatnonzero(minus)} if sums == "first-term" else set()
+        expected = sorted((doc_id, "-0.0" if doc_id in negative else "0.0") for doc_id in ids)
+        assert exact((d.doc_id, d.score) for d in ranked) == expected
         assert peak < index.matrix.nbytes
 
     def test_zero_band_on_100k_rows(self):
@@ -619,6 +706,19 @@ class TestTopK:
         for query, k in (("w7", 5_000), ("w7 w8", 40_000), ("w0", 20)):
             assert_matches_oracle(index, query, k)
         assert oracle_top_k(index, "w7", 5_000)[-1][1] == 0.0
+
+    @pytest.mark.parametrize("similarity", SIMILARITIES)
+    @pytest.mark.parametrize("value,fault", [(5e-324, "underflows to 0"), (1e200, "overflows")],
+                             ids=["underflow", "overflow"])
+    def test_remote_query_with_no_unit_norm_is_refused(self, scripted, value, fault, similarity):
+        # normalize off, so the service's vector would reach top_k as it is:
+        # on a cosine index a zero norm gives inf and NaN and no rows, an
+        # infinite one a query of zeros; on a dot index an infinite norm
+        # overflows the screen's error bound
+        index = scripted.index(np.eye(2, 8), similarity)
+        scripted.vectors["q"] = [value] + [0.0] * 7
+        with pytest.raises(EmbeddingServiceError, match=rf"row 0's norm {fault} \(text 'q'\)"):
+            top_k(index, "q", 2)
 
     def test_dot_similarity_symmetric(self):
         a = hashed_bow_embed("alpha beta", 64, seed=9)
