@@ -16,7 +16,6 @@ from .data import (
     compute_stats,
     load_corpus,
     load_judgments,
-    save_corpus,
     save_judgments,
 )
 from .embed import EmbedderSpec, embed_texts, hashed_bow_embed

@@ -236,13 +236,6 @@ def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
         raise
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    with atomic_write(path) as f:
-        for p in corpus:
-            f.write(json.dumps({"id": p.id, "text": p.text}, ensure_ascii=False))
-            f.write("\n")
-
-
 _JUDGMENT_FIELDS = ("question_id", "question", "qtype", "positives", "negatives")
 
 

@@ -13,6 +13,11 @@ NOT and AND binding tighter than OR, same precedence associating left:
     expr   := term (OR term)*
     term   := factor ((AND | NOT) factor)*
     factor := '"' text '"' | '(' expr ')'
+
+Operators nest at most MAX_EXPR_DEPTH deep, and so do parentheses: render,
+atoms and evaluation recurse once per operator, and the parser three
+times per parenthesis, so the bound keeps every walk far inside the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .index import Index, RankedList
 from .index import top_k as _index_top_k
 
 NOT_MODES = ("hard", "soft")
+MAX_EXPR_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -89,21 +95,21 @@ class MergePolicy:
 _KEYWORDS = {"AND": And, "OR": Or, "NOT": Not}
 
 
-def _byte_offset(text: str, pos: int) -> int:
-    return len(text[:pos].encode("utf-8"))
-
-
 def _lex(text: str) -> list[tuple[str, str, int]]:
     """Tokenize into (kind, value, byte_offset) triples."""
     tokens = []
     pos = 0
     n = len(text)
+    # byte offset of text[seen]: each token's offset adds only the bytes
+    # since the previous one, so lexing stays linear in the text
+    seen = offset = 0
     while pos < n:
         ch = text[pos]
         if ch.isspace():
             pos += 1
             continue
-        offset = _byte_offset(text, pos)
+        offset += len(text[seen:pos].encode("utf-8"))
+        seen = pos
         if ch == "(":
             tokens.append(("LPAREN", ch, offset))
             pos += 1
@@ -111,7 +117,7 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("RPAREN", ch, offset))
             pos += 1
         elif ch == '"':
-            value, pos = _lex_quoted(text, pos)
+            value, pos = _lex_quoted(text, pos, offset)
             tokens.append(("ATOM", value, offset))
         elif ch.isalpha():
             start = pos
@@ -130,8 +136,8 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _lex_quoted(text: str, pos: int) -> tuple[str, int]:
-    start = pos
+def _lex_quoted(text: str, pos: int, offset: int) -> tuple[str, int]:
+    """Read the atom opening at text[pos], whose byte offset is offset."""
     pos += 1
     chars: list[str] = []
     while pos < len(text):
@@ -142,19 +148,22 @@ def _lex_quoted(text: str, pos: int) -> tuple[str, int]:
         elif ch == '"':
             value = "".join(chars)
             if not value.strip():
-                raise QuerySyntaxError("empty atom", _byte_offset(text, start))
+                raise QuerySyntaxError("empty atom", offset)
             return value, pos + 1
         else:
             chars.append(ch)
             pos += 1
-    raise QuerySyntaxError("unterminated quoted atom", _byte_offset(text, start))
+    raise QuerySyntaxError("unterminated quoted atom", offset)
 
 
 class _Parser:
+    """Recursive descent that returns (node, operator depth) pairs."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _lex(text)
         self.pos = 0
+        self.open_parens = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -169,7 +178,7 @@ class _Parser:
         return token
 
     def parse(self) -> BooleanExpr:
-        expr = self.expr()
+        expr, _ = self.expr()
         trailing = self.peek()
         if trailing is not None:
             raise QuerySyntaxError(
@@ -177,33 +186,52 @@ class _Parser:
             )
         return expr
 
-    def expr(self) -> BooleanExpr:
+    def expr(self) -> tuple[BooleanExpr, int]:
         node = self.term()
         while (token := self.peek()) and token[0] == "OR":
             self.next()
-            node = Or(node, self.term())
+            node = _join(token, node, self.term())
         return node
 
-    def term(self) -> BooleanExpr:
+    def term(self) -> tuple[BooleanExpr, int]:
         node = self.factor()
         while (token := self.peek()) and token[0] in ("AND", "NOT"):
-            kind = self.next()[0]
-            node = _KEYWORDS[kind](node, self.factor())
+            self.next()
+            node = _join(token, node, self.factor())
         return node
 
-    def factor(self) -> BooleanExpr:
+    def factor(self) -> tuple[BooleanExpr, int]:
         token = self.next()
         kind, value, offset = token
         if kind == "ATOM":
-            return Atom(value)
+            return Atom(value), 0
         if kind == "LPAREN":
+            if self.open_parens == MAX_EXPR_DEPTH:
+                raise QuerySyntaxError(
+                    f"parentheses nest more than {MAX_EXPR_DEPTH} deep", offset
+                )
+            self.open_parens += 1
             node = self.expr()
             closing = self.peek()
             if closing is None or closing[0] != "RPAREN":
                 raise QuerySyntaxError("expected closing parenthesis", offset)
             self.next()
+            self.open_parens -= 1
             return node
         raise QuerySyntaxError(f"expected atom or '(', got {value!r}", offset)
+
+
+def _join(
+    token: tuple[str, str, int],
+    left: tuple[BooleanExpr, int],
+    right: tuple[BooleanExpr, int],
+) -> tuple[BooleanExpr, int]:
+    depth = 1 + max(left[1], right[1])
+    if depth > MAX_EXPR_DEPTH:
+        raise QuerySyntaxError(
+            f"operators nest more than {MAX_EXPR_DEPTH} deep", token[2]
+        )
+    return _KEYWORDS[token[0]](left[0], right[0]), depth
 
 
 def parse_boolean_query(text: str) -> BooleanExpr:
@@ -372,6 +400,11 @@ def fallback_decompose(question: str) -> BooleanExpr:
     for connective, node in ((" or ", Or), (" and ", And)):
         if connective in lowered:
             parts = _split_connective(body, lowered, connective)
+            if len(parts) > MAX_EXPR_DEPTH + 1:
+                raise DecompositionError(
+                    f"could not decompose {question!r}: more than {MAX_EXPR_DEPTH} "
+                    f"{connective.strip()!r} connectives"
+                )
             expr: BooleanExpr = _fragment_atom(parts[0], question)
             for part in parts[1:]:
                 expr = node(expr, _fragment_atom(part, question))

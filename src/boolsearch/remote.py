@@ -4,13 +4,14 @@ Both clients POST a JSON body with an optional bearer token and share one
 retry policy: MAX_ATTEMPTS attempts with exponential backoff, retrying
 transport errors, 429 and 5xx, and failing at once on any other non-200
 status. Failures are raised as the caller's BoolSearchError subclass.
+
+requests is imported on the first call, not with this module, so a process
+that makes no remote call never loads the HTTP and TLS stack.
 """
 
 from __future__ import annotations
 
 import time
-
-import requests
 
 from .errors import BoolSearchError
 
@@ -32,6 +33,8 @@ def post_json(
     seconds before the next one. Error messages keep the HTTP status and the
     first 200 characters of the reply body.
     """
+    import requests  # deferred: see the module docstring
+
     headers = {"Authorization": f"Bearer {token}"} if token else {}
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from boolsearch.data import Corpus, Passage
+from boolsearch.data import Corpus, Passage, atomic_write
 from boolsearch.embed import embed_texts
 from boolsearch.errors import BoolSearchError, GenerationError
 from boolsearch.generate import Cluster, cosine_distances
@@ -55,6 +55,14 @@ def random_corpus(rng: np.random.Generator, n_docs: int, vocab: int = 40) -> Cor
         text = " ".join(rng.choice(words, size=length))
         passages.append(Passage(f"d{d:04d}", text))
     return Corpus(passages)
+
+
+def save_corpus(corpus: Corpus, path) -> None:
+    """Write a corpus as JSONL records that load_corpus reads back."""
+    with atomic_write(path) as f:
+        for p in corpus:
+            f.write(json.dumps({"id": p.id, "text": p.text}, ensure_ascii=False))
+            f.write("\n")
 
 
 def random_query(rng: np.random.Generator, vocab: int = 40) -> str:

@@ -10,12 +10,12 @@ import pytest
 
 from boolsearch import cli, generate
 from boolsearch.cli import dispatch, load_config
-from boolsearch.data import load_judgments, save_corpus
+from boolsearch.data import load_judgments
 from boolsearch.embed import EmbedderSpec
 from boolsearch.errors import BoolSearchError
 from boolsearch.index import Index, save_index
 
-from _planted import planted_corpus
+from _planted import planted_corpus, save_corpus
 from _server import ScriptedServer
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -33,6 +33,17 @@ def run_cli(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(script, *argv):
+    """Run a Python script in a fresh interpreter that imports this tree's
+    boolsearch."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
 
 
 class TestDispatch:
@@ -139,6 +150,27 @@ class TestIndexAndSearch:
             capsys, "search", "--index", str(index_path), "--query", "no quotes"
         )
         assert code == 2 and "error" in err
+
+
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            (" OR ".join(['"core00a"'] * 1500), "operators nest more than"),
+            ("(" * 5000 + '"core00a"' + ")" * 5000, "parentheses nest more than"),
+        ],
+        ids=["long-chain", "deep-parentheses"],
+    )
+    def test_too_deep_query_is_runtime_error(self, capsys, tmp_path, corpus_file,
+                                             query, message):
+        index_path = tmp_path / "corpus.idx"
+        run_cli(capsys, "index", "build", "--corpus", str(corpus_file),
+                "--out", str(index_path), "--dim", "64")
+        code, out, err = run_cli(
+            capsys, "search", "--index", str(index_path), "--query", query
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert "unexpected" not in err
 
 
 class TestEvalCommand:
@@ -411,12 +443,7 @@ class TestFailClosed:
             "cli._HANDLERS['stats'] = broken\n"
             "sys.exit(cli.dispatch(sys.argv[1:]))\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script, "--log-level", level, "stats", "--judgments", "j"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
-        )
+        done = run_fresh(script, "--log-level", level, "stats", "--judgments", "j")
         assert done.returncode == 2
         assert done.stderr.splitlines()[-1] == "error: unexpected RuntimeError: boom"
         return done.stderr
@@ -434,6 +461,28 @@ class TestFailClosed:
     def test_log_level_does_not_outlive_the_call(self, capsys):
         run_cli(capsys, "--log-level", "ERROR", "stats", "--judgments", "absent.jsonl")
         assert logging.getLogger("boolsearch").level == logging.NOTSET
+
+
+class TestOffline:
+    def test_offline_commands_never_load_requests(self, tmp_path, corpus_file):
+        # a fresh interpreter, because this one may already hold requests
+        index_path = tmp_path / "corpus.idx"
+        commands = [
+            ["index", "build", "--corpus", str(corpus_file), "--out", str(index_path)],
+            ["search", "--index", str(index_path), "--query", '"core00a" NOT "sub00p0x"'],
+            ["search", "--index", str(index_path), "--raw", "core00a"],
+            ["eval", "--run", str(FIXTURES / "golden_run.jsonl"),
+             "--judgments", str(FIXTURES / "golden_judgments.jsonl")],
+        ]
+        script = (
+            "import json, sys; from boolsearch import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.dispatch(argv) == 0, argv\n"
+            "print('requests' in sys.modules)\n"
+        )
+        done = run_fresh(script, json.dumps(commands))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestConfigFile:

@@ -13,7 +13,6 @@ from boolsearch.data import (
     load_judgments,
     question_category,
     render_stats,
-    save_corpus,
     save_judgments,
 )
 from boolsearch.chat import ChatClient
@@ -36,7 +35,7 @@ from boolsearch.generate import (
 from boolsearch.index import RankedList, ScoredDoc
 from boolsearch.metrics import load_run, save_run
 
-from _planted import marco_replica_judgments
+from _planted import marco_replica_judgments, save_corpus
 
 
 def write_lines(path, lines):

@@ -15,6 +15,7 @@ from boolsearch.query import (
     And,
     Atom,
     DECOMPOSER_SYSTEM,
+    MAX_EXPR_DEPTH,
     MergePolicy,
     Not,
     Or,
@@ -27,6 +28,7 @@ from boolsearch.query import (
     parse_boolean_query,
     render,
     _min_max_normalize,
+    atoms,
     retrieve_atom,
     whole_query_retrieve,
 )
@@ -85,6 +87,43 @@ class TestParser:
         with pytest.raises(QuerySyntaxError) as err:
             parse_boolean_query('"héé" ???')
         assert err.value.offset == len('"héé" '.encode("utf-8"))
+        # 4,000 atoms of one- to four-byte characters: lexing fails at the
+        # tail, before the parser would refuse the chain as too deep
+        head = " OR\t".join(['"été"', '"日本"', '"𝔸x"', '"ascii"'] * 1000) + " AND "
+        for tail in ("???", "banana", '"unterminated', '""'):
+            with pytest.raises(QuerySyntaxError) as err:
+                parse_boolean_query(head + tail)
+            assert err.value.offset == len(head.encode("utf-8"))
+
+    def test_operator_depth_is_bounded(self):
+        def chain(operators):
+            return " OR ".join(['"é"'] * (operators + 1))
+
+        expr = parse_boolean_query(chain(MAX_EXPR_DEPTH))
+        assert len(atoms(expr)) == MAX_EXPR_DEPTH + 1
+        assert parse_boolean_query(render(expr)) == expr
+        text = chain(MAX_EXPR_DEPTH + 1)
+        with pytest.raises(QuerySyntaxError, match="operators nest more than") as err:
+            parse_boolean_query(text)
+        # at the operator that crosses the bound: the last one
+        assert err.value.offset == text.encode("utf-8").rindex(b"OR")
+        with pytest.raises(QuerySyntaxError, match="operators nest more than"):
+            parse_boolean_query(chain(1500))
+
+    def test_parenthesis_depth_is_bounded(self):
+        def nest(parens):
+            return "(" * parens + '"a"' + ")" * parens
+
+        assert parse_boolean_query(nest(MAX_EXPR_DEPTH)) == Atom("a")
+        with pytest.raises(QuerySyntaxError, match="parentheses nest more than") as err:
+            parse_boolean_query(nest(5000))
+        assert err.value.offset == MAX_EXPR_DEPTH
+
+    def test_right_nested_expression_at_the_bound_round_trips(self):
+        text = '"a" AND (' * (MAX_EXPR_DEPTH - 1) + '"b"' + ")" * (MAX_EXPR_DEPTH - 1)
+        expr = parse_boolean_query(text)
+        assert parse_boolean_query(render(expr)) == expr
+        assert atoms(expr) == ["a"] * (MAX_EXPR_DEPTH - 1) + ["b"]
 
     def test_unterminated_atom(self):
         with pytest.raises(QuerySyntaxError, match="unterminated"):
@@ -332,24 +371,28 @@ class TestDecompose:
             "What flower symbolizes endurance"
         )
 
-    def test_malformed_model_output_falls_back(self, tmp_path):
-        question = "cats and dogs"
+    @staticmethod
+    def replay_client(tmp_path, question, response):
+        """A chat client whose cassette answers the decomposer with response."""
         messages = [
             {"role": "system", "content": DECOMPOSER_SYSTEM},
             {"role": "user", "content": f"Question: {question}"},
         ]
         cassette = tmp_path / "cassette.jsonl"
         cassette.write_text(
-            json.dumps(
-                {
-                    "request_hash": request_hash("m", messages),
-                    "response": 'not ((( a valid "expr',
-                }
-            )
+            json.dumps({"request_hash": request_hash("m", messages), "response": response})
             + "\n"
         )
-        client = ChatClient(model="m", mode="replay", cassette_path=cassette)
-        assert decompose_question(question, client) == And(Atom("cats"), Atom("dogs"))
+        return ChatClient(model="m", mode="replay", cassette_path=cassette)
+
+    def test_malformed_model_output_falls_back(self, tmp_path):
+        client = self.replay_client(tmp_path, "cats and dogs", 'not ((( a valid "expr')
+        assert decompose_question("cats and dogs", client) == And(Atom("cats"), Atom("dogs"))
+
+    def test_too_deep_model_output_falls_back(self, tmp_path):
+        reply = " OR ".join(['"cats"'] * 1500)
+        client = self.replay_client(tmp_path, "cats and dogs", reply)
+        assert decompose_question("cats and dogs", client) == And(Atom("cats"), Atom("dogs"))
 
     def test_fallback_splits_or_and_not(self):
         assert fallback_decompose("a and b and c") == And(
@@ -358,6 +401,14 @@ class TestDecompose:
         assert fallback_decompose("alpha or beta?") == Or(Atom("alpha"), Atom("beta"))
         expr = fallback_decompose("What causes X but is unrelated to Y?")
         assert expr == Not(Atom("What causes X"), Atom("Y"))
+
+    def test_fallback_connectives_are_bounded(self):
+        expr = fallback_decompose(" or ".join(["cats"] * (MAX_EXPR_DEPTH + 1)))
+        assert len(atoms(expr)) == MAX_EXPR_DEPTH + 1
+        with pytest.raises(DecompositionError, match="more than"):
+            fallback_decompose(" or ".join(["cats"] * (MAX_EXPR_DEPTH + 2)))
+        with pytest.raises(DecompositionError, match="more than"):
+            fallback_decompose(" or ".join(["cats"] * 1500))
 
     def test_unparseable_after_fallback(self):
         # the right-hand fragment strips to nothing
