@@ -197,6 +197,20 @@ def load_corpus(path: str | Path) -> Corpus:
         raise CorpusFormatError(f"{path}:{linenos[at]}: {exc}") from None
 
 
+def record_string(
+    value, name: str, error: type[BoolSearchError], integer: bool = False
+) -> str:
+    """A string field of a JSON record. With integer, an integer (not a
+    boolean) is taken too, as its decimal string: numeric ids are common.
+    Anything else raises error."""
+    if integer and type(value) is int:
+        return str(value)
+    if not isinstance(value, str):
+        kind = "a string or an integer" if integer else "a string"
+        raise error(f"{name} must be {kind}, got {type(value).__name__}")
+    return value
+
+
 def _parse_corpus_line(line: str) -> Passage:
     if line.lstrip().startswith("{"):
         try:
@@ -207,7 +221,10 @@ def _parse_corpus_line(line: str) -> Passage:
             raise CorpusFormatError(f"invalid JSON: {exc}") from None
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise CorpusFormatError('JSON record must have "id" and "text"')
-        return Passage(id=str(record["id"]), text=str(record["text"]))
+        return Passage(
+            id=record_string(record["id"], "id", CorpusFormatError, integer=True),
+            text=record_string(record["text"], "text", CorpusFormatError),
+        )
     columns = line.split("\t")
     if len(columns) != 2:
         raise CorpusFormatError(
@@ -279,12 +296,19 @@ def judgment_from_record(record: Mapping) -> Judgment:
     for key in ("positives", "negatives"):
         if not isinstance(record[key], list):
             raise JudgmentFormatError(f"{key} must be a list of passage ids")
+    error = JudgmentFormatError
     return Judgment(
-        question_id=str(record["question_id"]),
-        question=str(record["question"]),
+        question_id=record_string(record["question_id"], "question_id", error, integer=True),
+        question=record_string(record["question"], "question", error),
         qtype=QuestionType.parse(str(record["qtype"])),
-        positives=frozenset(str(p) for p in record["positives"]),
-        negatives=frozenset(str(p) for p in record["negatives"]),
+        positives=frozenset(
+            record_string(p, "a positives entry", error, integer=True)
+            for p in record["positives"]
+        ),
+        negatives=frozenset(
+            record_string(p, "a negatives entry", error, integer=True)
+            for p in record["negatives"]
+        ),
     )
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import os
 import struct
 import zlib
@@ -71,17 +72,22 @@ class ScoredDoc(NamedTuple):
 
 
 class RankedList:
-    """Ordered retrieval result: scores finite and non-increasing, ids
-    distinct, equal scores ordered by ascending doc id. The constructor is
-    the one place these are checked."""
+    """Ordered retrieval result as parallel tuples of doc ids and scores:
+    scores finite and non-increasing, ids distinct, equal scores ordered by
+    ascending doc id. The constructor is the one place these are checked."""
 
-    __slots__ = ("items",)
+    __slots__ = ("ids", "scores")
 
-    def __init__(self, items: Iterable[ScoredDoc]):
-        self.items = tuple(items)
+    def __init__(self, items: Iterable[tuple[str, float]]):
+        ids, scores = self.ids, self.scores = tuple(zip(*items)) or ((), ())
+        # three C-level passes accept a valid list; the loop names a bad one's first fault
+        if all(map(math.isfinite, scores)) and len(set(ids)) == len(ids):
+            keys = list(zip(map(operator.neg, scores), ids))
+            if all(map(operator.lt, keys, keys[1:])):
+                return
         seen: set[str] = set()
         prev_id, prev_score = "", math.inf
-        for doc_id, score in self.items:
+        for doc_id, score in zip(ids, scores):
             if not math.isfinite(score):
                 raise BoolSearchError(f"non-finite score for doc {doc_id!r}")
             if doc_id in seen:
@@ -96,27 +102,30 @@ class RankedList:
     @classmethod
     def from_scores(cls, pairs: Iterable[tuple[str, float]]) -> "RankedList":
         """Sort (doc_id, score) pairs by descending score, breaking ties
-        by ascending doc id."""
-        ordered = sorted(pairs, key=lambda p: (-p[1], p[0]))
-        return cls(map(ScoredDoc._make, ordered))
+        by ascending doc id (two stable sorts)."""
+        ordered = sorted(pairs, key=operator.itemgetter(0))
+        ordered.sort(key=operator.itemgetter(1), reverse=True)
+        return cls(ordered)
+
+    @property
+    def items(self) -> tuple[ScoredDoc, ...]:
+        return tuple(self)
 
     def truncate(self, k: int) -> "RankedList":
-        return RankedList(self.items[:k])
-
-    def doc_ids(self) -> tuple[str, ...]:
-        return tuple(item.doc_id for item in self.items)
+        return RankedList(zip(self.ids[:k], self.scores[:k]))
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.ids)
 
     def __iter__(self):
-        return iter(self.items)
+        return map(ScoredDoc, self.ids, self.scores)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RankedList) and self.items == other.items
+        return (isinstance(other, RankedList) and self.ids == other.ids
+                and self.scores == other.scores)
 
     def __repr__(self) -> str:
-        return f"RankedList({list(self.items)!r})"
+        return f"RankedList({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -325,7 +334,7 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
     order = np.lexsort((index._id_rank[cand], -scores))[:k]
     # Python floats, not numpy scalars: a score's repr is part of the output
     ids = [index.doc_ids[i] for i in cand[order].tolist()]
-    return RankedList(map(ScoredDoc, ids, scores[order].tolist()))
+    return RankedList(zip(ids, scores[order].tolist()))
 
 
 def _screen(index: Index, nz: np.ndarray, terms: np.ndarray) -> np.ndarray:

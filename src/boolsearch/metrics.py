@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import AbstractSet, Mapping, Sequence
 
-from .data import Judgment, QuestionType, atomic_write, read_lines
+from .data import Judgment, QuestionType, atomic_write, read_lines, record_string
 from .errors import BoolSearchError, RunFormatError
-from .index import RankedList, ScoredDoc
+from .index import RankedList
 
 # A run maps question_id to the system's ranked list for that question.
 RunResult = Mapping[str, RankedList]
@@ -26,8 +26,8 @@ def mrr_at_k(ranked: RankedList, positives: AbstractSet[str], k: int) -> float:
     """1/rank of the first positive in the top k, else 0.0."""
     if k < 1:
         raise BoolSearchError(f"k must be >= 1, got {k}")
-    for rank, item in enumerate(ranked.items[:k], start=1):
-        if item.doc_id in positives:
+    for rank, doc_id in enumerate(ranked.ids[:k], start=1):
+        if doc_id in positives:
             return 1.0 / rank
     return 0.0
 
@@ -44,7 +44,7 @@ def neg_recall_at_k(
         raise BoolSearchError(f"k must be >= 1, got {k}")
     if not negatives:
         return None
-    retrieved = {item.doc_id for item in ranked.items[:k]}
+    retrieved = set(ranked.ids[:k])
     return len(retrieved & negatives) / len(negatives)
 
 
@@ -197,11 +197,10 @@ def load_run(path: str | Path) -> dict[str, RankedList]:
             continue
         try:
             record = json.loads(line)
-            question_id = record["question_id"]
-            if not isinstance(question_id, str):
-                raise RunFormatError("question_id must be a string")
+            question_id = record_string(record["question_id"], "question_id", RunFormatError)
             ranked = RankedList(
-                ScoredDoc(str(item["doc_id"]), float(item["score"]))
+                (record_string(item["doc_id"], "doc_id", RunFormatError, integer=True),
+                 _score(item["score"]))
                 for item in record["items"]
             )
         except KeyError as exc:
@@ -216,3 +215,9 @@ def load_run(path: str | Path) -> dict[str, RankedList]:
             )
         run[question_id] = ranked
     return run
+
+
+def _score(value) -> float:
+    if type(value) not in (int, float):  # a bool is not a score
+        raise RunFormatError(f"score must be a number, got {type(value).__name__}")
+    return float(value)

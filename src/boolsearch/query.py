@@ -101,14 +101,16 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
     pos = 0
     n = len(text)
     # byte offset of text[seen]: each token's offset adds only the bytes
-    # since the previous one, so lexing stays linear in the text
+    # since the previous one, so lexing stays linear in the text. A lone
+    # surrogate (how Python decodes argv bytes that are not UTF-8) counts
+    # as the three bytes "surrogatepass" encodes it to
     seen = offset = 0
     while pos < n:
         ch = text[pos]
         if ch.isspace():
             pos += 1
             continue
-        offset += len(text[seen:pos].encode("utf-8"))
+        offset += len(text[seen:pos].encode("utf-8", "surrogatepass"))
         seen = pos
         if ch == "(":
             tokens.append(("LPAREN", ch, offset))
@@ -172,7 +174,7 @@ class _Parser:
         token = self.peek()
         if token is None:
             raise QuerySyntaxError(
-                "unexpected end of query", len(self.text.encode("utf-8"))
+                "unexpected end of query", len(self.text.encode("utf-8", "surrogatepass"))
             )
         self.pos += 1
         return token
@@ -277,16 +279,17 @@ def atoms(expr: BooleanExpr) -> list[str]:
 
 def merge_and(a: RankedList, b: RankedList) -> RankedList:
     """Intersection; surviving docs score the sum of both lists' scores."""
-    scores_b = {doc_id: score for doc_id, score in b.items}
+    scores_b = dict(zip(b.ids, b.scores))
     return RankedList.from_scores(
-        (doc_id, score + scores_b[doc_id]) for doc_id, score in a.items if doc_id in scores_b
+        (doc_id, score + scores_b[doc_id])
+        for doc_id, score in zip(a.ids, a.scores) if doc_id in scores_b
     )
 
 
 def merge_or(a: RankedList, b: RankedList) -> RankedList:
     """Union; each doc scores the max over the lists containing it."""
-    merged = {doc_id: score for doc_id, score in a.items}
-    for doc_id, score in b.items:
+    merged = dict(zip(a.ids, a.scores))
+    for doc_id, score in zip(b.ids, b.scores):
         # max(old, new) keeps the old score on a tie, so a tied zero keeps its sign
         merged[doc_id] = max(merged[doc_id], score) if doc_id in merged else score
     return RankedList.from_scores(merged.items())
@@ -297,11 +300,11 @@ def merge_not(a: RankedList, b: RankedList, mode: str = "hard") -> RankedList:
     keeping scores; soft mode keeps all of a with b's score subtracted."""
     if mode not in NOT_MODES:
         raise BoolSearchError(f"unknown not_mode {mode!r}")
-    scores_b = {doc_id: score for doc_id, score in b.items}
+    scores_b = dict(zip(b.ids, b.scores))
     if mode == "hard":
-        return RankedList(item for item in a.items if item.doc_id not in scores_b)
+        return RankedList(pair for pair in zip(a.ids, a.scores) if pair[0] not in scores_b)
     return RankedList.from_scores(
-        (doc_id, score - scores_b.get(doc_id, 0.0)) for doc_id, score in a.items
+        (doc_id, score - scores_b.get(doc_id, 0.0)) for doc_id, score in zip(a.ids, a.scores)
     )
 
 
@@ -324,13 +327,12 @@ def _min_max_normalize(ranked: RankedList) -> RankedList:
         return ranked
     # min and max, not the last and first items: in [5.0, 0.0, -0.0] the
     # last is -0.0 but min is 0.0, and subtracting -0.0 flips a zero's sign
-    values = [score for _, score in ranked.items]
-    low, high = min(values), max(values)
+    low, high = min(ranked.scores), max(ranked.scores)
     # scaling can round adjacent scores onto one value; re-sort so the
     # collapsed ties take the ascending-id order
     return RankedList.from_scores(
         (doc_id, (score - low) / (high - low) if high > low else 1.0)
-        for doc_id, score in ranked.items
+        for doc_id, score in zip(ranked.ids, ranked.scores)
     )
 
 

@@ -314,20 +314,24 @@ class OracleRankedList:
     __slots__ = ("items",)
 
     def __init__(self, items: Iterable[OracleScoredDoc]):
-        self.items = tuple(items)
+        # items are made one at a time, so the first fault in item order is
+        # the one raised: a non-finite score, a repeated id, then the order
+        checked: list[OracleScoredDoc] = []
         seen: set[str] = set()
-        for i, item in enumerate(self.items):
+        for item in items:
             if item.doc_id in seen:
                 raise BoolSearchError(f"duplicate doc id {item.doc_id!r} in ranked list")
             seen.add(item.doc_id)
-            if i > 0:
-                prev = self.items[i - 1]
+            if checked:
+                prev = checked[-1]
                 if item.score > prev.score:
                     raise BoolSearchError("ranked list scores must be non-increasing")
                 if item.score == prev.score and item.doc_id < prev.doc_id:
                     raise BoolSearchError(
                         "ranked list ties must be ordered by ascending doc id"
                     )
+            checked.append(item)
+        self.items = tuple(checked)
 
     @classmethod
     def from_scores(cls, pairs: Iterable[tuple[str, float]]) -> "OracleRankedList":
@@ -400,8 +404,9 @@ def scored_pairs(merge_inputs: bool = False):
 
 
 def ranked_outcome(make):
-    """A built list as (doc_id, score repr) pairs, or "rejected"."""
+    """A built list as (doc_id, score repr) pairs, or "rejected: " and the
+    error's message."""
     try:
         return [(item.doc_id, repr(item.score)) for item in make()]
-    except BoolSearchError:
-        return "rejected"
+    except BoolSearchError as exc:
+        return f"rejected: {exc}"

@@ -95,8 +95,8 @@ def test_criterion_2_merge_algebra_laws():
         assert merge_or(a, a) == a
         assert merge_and(a, empty) == empty
         assert merge_not(a, a, "hard") == empty
-        excluded = set(b.doc_ids())
-        survivors = set(merge_not(a, b, "hard").doc_ids())
+        excluded = set(b.ids)
+        survivors = set(merge_not(a, b, "hard").ids)
         assert survivors.isdisjoint(excluded)
 
 
@@ -150,7 +150,7 @@ def test_criterion_4_hard_not_eliminates_negatives_directionally():
         expr = parse_boolean_query(q.expression)
         depth_ids = retrieve_atom(
             index, expr.right.text, policy.candidate_depth_factor * k
-        ).doc_ids()
+        ).ids
         (negative,) = q.negatives
         if negative not in depth_ids:
             continue

@@ -172,6 +172,34 @@ class TestIndexAndSearch:
         assert err.startswith("error: ") and message in err
         assert "unexpected" not in err
 
+    @pytest.mark.parametrize("query, message", [
+        ('"\udcff" ???', "unexpected character '?' (at byte offset 6)"),
+        ('"\udcff" AND', "unexpected end of query (at byte offset 9)"),
+    ], ids=["bad-character", "end-of-query"])
+    def test_lone_surrogate_in_query_is_syntax_error(self, capsys, tmp_path, corpus_file,
+                                                     query, message):
+        # how Python decodes argv bytes that are not UTF-8 (b"\xff" here)
+        index_path = tmp_path / "corpus.idx"
+        run_cli(capsys, "index", "build", "--corpus", str(corpus_file),
+                "--out", str(index_path), "--dim", "64")
+        code, out, err = run_cli(
+            capsys, "search", "--index", str(index_path), "--query", query
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        script = "import sys; from boolsearch.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))"
+        done = run_fresh(script, "search", "--index", str(index_path), "--query",
+                         query.encode("utf-8", "surrogateescape"))
+        assert (done.returncode, done.stderr) == (2, f"error: {message}\n")
+
+    def test_corpus_field_of_wrong_type_is_runtime_error(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "p1", "text": "x"}\n{"id": null, "text": null}\n')
+        code, out, err = run_cli(capsys, "index", "build", "--corpus", str(corpus),
+                                 "--out", str(tmp_path / "corpus.idx"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {corpus}:2: id must be a string or an integer, got NoneType\n"
+        assert not (tmp_path / "corpus.idx").exists()
+
 
 class TestEvalCommand:
     def test_table_output(self, capsys):
@@ -209,6 +237,33 @@ class TestEvalCommand:
         )
         assert code == 2 and out == ""
         assert err == f"error: {run}:1: missing field {field!r}\n"
+
+    @pytest.mark.parametrize("item, message", [
+        ({"doc_id": None, "score": "0.5"}, "doc_id must be a string or an integer, got NoneType"),
+        ({"doc_id": True, "score": False}, "doc_id must be a string or an integer, got bool"),
+        ({"doc_id": "p1", "score": "0.5"}, "score must be a number, got str"),
+    ])
+    def test_run_field_of_wrong_type_is_runtime_error(self, capsys, tmp_path, item, message):
+        run = tmp_path / "run.jsonl"
+        run.write_text(json.dumps({"question_id": "q1", "items": [item]}) + "\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--run", str(run),
+            "--judgments", str(FIXTURES / "golden_judgments.jsonl"),
+        )
+        assert (code, out, err) == (2, "", f"error: {run}:1: {message}\n")
+
+    def test_judgment_field_of_wrong_type_is_runtime_error(self, capsys, tmp_path):
+        judgments = tmp_path / "judgments.jsonl"
+        judgments.write_text(json.dumps({
+            "question_id": "q1", "question": None, "qtype": "AND",
+            "positives": ["p1"], "negatives": [],
+        }) + "\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--run", str(FIXTURES / "golden_run.jsonl"),
+            "--judgments", str(judgments),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {judgments}:1: question must be a string, got NoneType\n"
 
 
 class TestStatsCommand:

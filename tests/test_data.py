@@ -213,6 +213,70 @@ class TestLoadJudgments:
         assert load_judgments(path) == judgments
 
 
+JUDGMENT = {"question_id": "q1", "question": "a?", "qtype": "AND",
+            "positives": ["p1"], "negatives": []}
+RUN_ITEM = {"doc_id": "p1", "score": 0.5}
+
+
+class TestLoaderFieldTypes:
+    @pytest.mark.parametrize("load, error, record, message", [
+        (load_corpus, CorpusFormatError, {"id": None, "text": "x"},
+         "id must be a string or an integer, got NoneType"),
+        (load_corpus, CorpusFormatError, {"id": True, "text": "x"},
+         "id must be a string or an integer, got bool"),
+        (load_corpus, CorpusFormatError, {"id": ["a"], "text": "x"},
+         "id must be a string or an integer, got list"),
+        (load_corpus, CorpusFormatError, {"id": 1.5, "text": "x"},
+         "id must be a string or an integer, got float"),
+        (load_corpus, CorpusFormatError, {"id": "p1", "text": None},
+         "text must be a string, got NoneType"),
+        (load_corpus, CorpusFormatError, {"id": "p1", "text": 7},
+         "text must be a string, got int"),
+        (load_judgments, JudgmentFormatError, {**JUDGMENT, "question_id": None},
+         "question_id must be a string or an integer, got NoneType"),
+        (load_judgments, JudgmentFormatError, {**JUDGMENT, "question": ["a?"]},
+         "question must be a string, got list"),
+        (load_judgments, JudgmentFormatError, {**JUDGMENT, "positives": [False]},
+         "a positives entry must be a string or an integer, got bool"),
+        (load_judgments, JudgmentFormatError, {**JUDGMENT, "negatives": [None]},
+         "a negatives entry must be a string or an integer, got NoneType"),
+        (load_run, RunFormatError,
+         {"question_id": "q1", "items": [{"doc_id": None, "score": 0.5}]},
+         "doc_id must be a string or an integer, got NoneType"),
+        (load_run, RunFormatError,
+         {"question_id": "q1", "items": [{"doc_id": True, "score": 0.5}]},
+         "doc_id must be a string or an integer, got bool"),
+        (load_run, RunFormatError,
+         {"question_id": "q1", "items": [{"doc_id": "p1", "score": "0.5"}]},
+         "score must be a number, got str"),
+        (load_run, RunFormatError,
+         {"question_id": "q1", "items": [{"doc_id": "p1", "score": False}]},
+         "score must be a number, got bool"),
+        (load_run, RunFormatError, {"question_id": 1, "items": [RUN_ITEM]},
+         "question_id must be a string, got int"),
+    ])
+    def test_wrong_type_names_path_and_line(self, tmp_path, load, error, record, message):
+        path = tmp_path / "input.jsonl"
+        write_lines(path, [json.dumps(record)])
+        with pytest.raises(error) as err:
+            load(path)
+        assert str(err.value) == f"{path}:1: {message}"
+
+    def test_integer_ids_read_as_decimal_strings(self, tmp_path):
+        path = tmp_path / "input.jsonl"
+        write_lines(path, [json.dumps({"id": 7, "text": "seven"})])
+        assert list(load_corpus(path)) == [Passage("7", "seven")]
+        write_lines(path, [json.dumps({**JUDGMENT, "question_id": 3, "positives": [7, "p2"],
+                                       "negatives": [-8]})])
+        assert load_judgments(path) == [Judgment(
+            "3", "a?", QuestionType.AND, frozenset({"7", "p2"}), frozenset({"-8"}))]
+        write_lines(path, [json.dumps({"question_id": "q1", "items": [
+            {"doc_id": 7, "score": 2}, {"doc_id": "p1", "score": 0.5}]})])
+        run = load_run(path)
+        assert run == {"q1": RankedList([ScoredDoc("7", 2.0), ScoredDoc("p1", 0.5)])}
+        assert [type(score) for score in run["q1"].scores] == [float, float]
+
+
 class TestComputeStats:
     def test_single_and_question(self):
         stats = compute_stats([

@@ -107,11 +107,24 @@ HUGE_INT = b"1" * 401
 
 
 def only_typed_errors(load, path, blob):
+    """load(path) over blob; None if it raised a typed error."""
     path.write_bytes(blob)
     try:
-        load(path)
+        return load(path)
     except BoolSearchError:
-        pass
+        return None
+
+
+def text_lines(blob: bytes) -> list[str]:
+    """The non-blank lines of a file a loader accepted, split as text mode
+    splits them."""
+    text = blob.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return [line for line in text.split("\n") if line.strip()]
+
+
+def is_id(value) -> bool:
+    """A JSON value a loader reads as an id: a string or an integer."""
+    return isinstance(value, str) or type(value) is int
 
 
 DEEP = b"[" * 100_000  # json.loads raises RecursionError, not JSONDecodeError
@@ -121,8 +134,18 @@ DEEP = b"[" * 100_000  # json.loads raises RecursionError, not JSONDecodeError
 @given(blob=lines(CORPUS_RECORDS))
 @example(blob=b'{"id": ' + DEEP)
 @example(blob=b'{"id": ' + LONG_INT + b', "text": "x"}')
+@example(blob=b'{"id": null, "text": null}')
+@example(blob=b'{"id": true, "text": "x"}')
+@example(blob=b'{"id": ["a"], "text": "x"}')
+@example(blob=b'{"id": "a", "text": ["x"]}')
+@example(blob=b'{"id": 7, "text": "x"}')
 def test_load_corpus(tmp_path, blob):
-    only_typed_errors(load_corpus, tmp_path / "corpus.jsonl", blob)
+    if only_typed_errors(load_corpus, tmp_path / "corpus.jsonl", blob) is None:
+        return
+    # no JSON value is turned into a string by str(): ids are strings or
+    # integers, texts strings
+    records = [json.loads(line) for line in text_lines(blob) if line.lstrip().startswith("{")]
+    assert all(is_id(r["id"]) and isinstance(r["text"], str) for r in records)
 
 
 @FUZZ
@@ -130,8 +153,18 @@ def test_load_corpus(tmp_path, blob):
 @example(blob=DEEP)
 @example(blob=b"null")
 @example(blob=b'{"question_id": ' + LONG_INT + b"}")
+@example(blob=json.dumps({"question_id": None, "question": None, "qtype": "AND",
+                          "positives": [None], "negatives": [True]}).encode("utf-8"))
+@example(blob=json.dumps({"question_id": 3, "question": "q?", "qtype": "OR",
+                          "positives": [[]], "negatives": []}).encode("utf-8"))
+@example(blob=json.dumps({"question_id": 3, "question": "q?", "qtype": "OR",
+                          "positives": [7], "negatives": ["a"]}).encode("utf-8"))
 def test_load_judgments(tmp_path, blob):
-    only_typed_errors(load_judgments, tmp_path / "judgments.jsonl", blob)
+    if only_typed_errors(load_judgments, tmp_path / "judgments.jsonl", blob) is None:
+        return
+    for r in map(json.loads, text_lines(blob)):
+        assert is_id(r["question_id"]) and isinstance(r["question"], str)
+        assert all(map(is_id, r["positives"] + r["negatives"]))
 
 
 @FUZZ
@@ -141,6 +174,10 @@ def test_load_judgments(tmp_path, blob):
 @example(blob=b'{"question_id": "q", "items": [{"doc_id": "d", "score": ' + HUGE_INT + b"}]}")
 @example(blob=b'{"question_id": "q"}')
 @example(blob=b'{"question_id": "q", "items": [{"doc_id": "d"}]}')
+@example(blob=b'{"question_id": "q", "items": [{"doc_id": null, "score": "0.5"}]}')
+@example(blob=b'{"question_id": "q", "items": [{"doc_id": true, "score": false}]}')
+@example(blob=b'{"question_id": "q", "items": [{"doc_id": ["d"], "score": 1}]}')
+@example(blob=b'{"question_id": "q", "items": [{"doc_id": 7, "score": 1}]}')
 def test_load_run(tmp_path, blob):
     path = tmp_path / "run.jsonl"
     path.write_bytes(blob)
@@ -149,6 +186,10 @@ def test_load_run(tmp_path, blob):
     except BoolSearchError as exc:
         # a missing field is named as one, not by a bare KeyError text
         assert not re.fullmatch(r".*:\d+: '[^']*'", str(exc), re.DOTALL)
+        return
+    items = [item for line in text_lines(blob) for item in json.loads(line)["items"]]
+    assert all(is_id(item["doc_id"]) and type(item["score"]) in (int, float)
+               for item in items)
 
 
 @FUZZ

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import tracemalloc
 import warnings
@@ -6,7 +7,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolsearch.data import Corpus, Passage
@@ -201,7 +202,7 @@ class TestRankedList:
 
     def test_from_scores_applies_tie_rule(self):
         ranked = RankedList.from_scores([("b", 1.0), ("c", 2.0), ("a", 1.0)])
-        assert ranked.doc_ids() == ("c", "a", "b")
+        assert ranked.ids == ("c", "a", "b")
 
     def test_non_finite_score_rejected(self):
         with pytest.raises(BoolSearchError, match="non-finite"):
@@ -209,6 +210,14 @@ class TestRankedList:
 
     @settings(max_examples=500, deadline=None)
     @given(pairs=scored_pairs(), presort=st.booleans())
+    # several faults in one list: the first in item order names the error
+    @example(pairs=[("a", math.nan), ("a", 1.0)], presort=False)
+    @example(pairs=[("b", 1.0), ("a", 1.0), ("a", 0.5)], presort=False)
+    @example(pairs=[("a", 1.0), ("a", 1.0), ("b", 2.0)], presort=False)
+    @example(pairs=[("a", 0.5), ("b", 1.0), ("c", math.inf)], presort=False)
+    @example(pairs=[("a", 1.0), ("b", math.inf), ("b", 2.0)], presort=False)
+    @example(pairs=[("b", 0.0), ("a", -0.0), ("a", 0.0)], presort=False)
+    @example(pairs=[("a", 1.0), ("b", 0.5), ("a", 0.25)], presort=False)
     def test_accepts_exactly_what_the_oracle_accepts(self, pairs, presort):
         if presort:  # most unsorted lists are rejected on order alone
             pairs.sort(key=lambda p: (-p[1], p[0]))
@@ -221,6 +230,27 @@ class TestRankedList:
     def test_scored_doc_checks_nothing_itself(self):
         assert ScoredDoc("a", float("inf")) == ("a", float("inf"))
         assert repr(ScoredDoc("a", 1.0)) == "ScoredDoc(doc_id='a', score=1.0)"
+
+    def test_items_are_scored_docs_with_the_same_bits(self):
+        pairs = [("a", 1.0), ("b", 0.0), ("c", -0.0), ("d", -5e-324)]
+        ranked = RankedList(pairs)
+        assert ranked.ids == ("a", "b", "c", "d")
+        bits = [(doc_id, struct.pack("<d", score)) for doc_id, score in pairs]
+        for items in (list(ranked), ranked.items):
+            assert all(type(item) is ScoredDoc for item in items)
+            assert [(d, struct.pack("<d", s)) for d, s in items] == bits
+        assert [struct.pack("<d", s) for s in ranked.scores] == [b for _, b in bits]
+
+    def test_equality_equates_signed_zeros(self):
+        assert RankedList([("a", 0.0)]) == RankedList([("a", -0.0)])
+        assert RankedList([("a", 0.0)]) != RankedList([("b", 0.0)])
+        assert RankedList([("a", 1.0)]) != RankedList([("a", 1.0), ("b", 0.5)])
+        assert RankedList([("a", 1.0)]) != [ScoredDoc("a", 1.0)]
+
+    def test_truncate_keeps_a_prefix(self):
+        ranked = RankedList.from_scores([("b", 1.0), ("c", 2.0), ("a", 1.0)])
+        assert ranked.truncate(2) == RankedList([("c", 2.0), ("a", 1.0)])
+        assert ranked.truncate(5) == ranked and len(ranked.truncate(1)) == 1
 
 
 class TestBuildIndex:
@@ -291,7 +321,7 @@ class TestTopK:
         index = build_index(corpus, SPEC, "cosine")
         ranked = top_k(index, "alpha", 1)
         # cross-check by hand: alpha matches p1's vector exactly
-        assert ranked.doc_ids() == ("p1",)
+        assert ranked.ids == ("p1",)
         assert ranked.items[0].score == pytest.approx(1.0)
 
     def test_k_larger_than_corpus_truncates(self):
@@ -302,7 +332,7 @@ class TestTopK:
         corpus = Corpus([Passage("pb", "same text"), Passage("pa", "same text")])
         index = build_index(corpus, SPEC, "dot")
         ranked = top_k(index, "same", 2)
-        assert ranked.doc_ids() == ("pa", "pb")
+        assert ranked.ids == ("pa", "pb")
         assert ranked.items[0].score == ranked.items[1].score
 
     @pytest.mark.parametrize("ids", [("a\x00", "b"), ("a\x00", "a")])
@@ -311,7 +341,7 @@ class TestTopK:
         corpus = Corpus([Passage(pid, "same text") for pid in ids])
         index = build_index(corpus, SPEC, "dot")
         ranked = top_k(index, "same", 2)
-        assert ranked.doc_ids() == tuple(sorted(ids))
+        assert ranked.ids == tuple(sorted(ids))
         assert [(d.doc_id, d.score) for d in ranked] == oracle_top_k(index, "same", 2)
 
     def test_k_below_one_rejected(self):
