@@ -13,7 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import generate, metrics, query
+from . import chat, generate, metrics, query
 from .data import (
     compute_stats,
     load_corpus,
@@ -24,7 +24,7 @@ from .data import (
 )
 from .embed import EmbedderSpec
 from .errors import BoolSearchError
-from .index import build_index, load_index, save_index
+from .index import SIMILARITIES, build_index, load_index, save_index
 
 logger = logging.getLogger(__name__)
 
@@ -148,7 +148,7 @@ def build_parser() -> _Parser:
     p_build = index_sub.add_parser("build")
     p_build.add_argument("--corpus", required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--sim", choices=["dot", "cosine"], default=None)
+    p_build.add_argument("--sim", choices=SIMILARITIES, default=None)
     _add_embedder_flags(p_build)
 
     p_search = sub.add_parser("search", help="query an index")
@@ -157,7 +157,7 @@ def build_parser() -> _Parser:
     group.add_argument("--query", help="Boolean expression with quoted atoms")
     group.add_argument("--raw", help="plain question for whole-query retrieval")
     p_search.add_argument("--k", type=int, default=None)
-    p_search.add_argument("--not-mode", choices=["hard", "soft"], default=None)
+    p_search.add_argument("--not-mode", choices=query.NOT_MODES, default=None)
     p_search.add_argument("--depth-factor", type=int, default=None)
     p_search.add_argument("--normalize-scores", action="store_true", default=None)
 
@@ -224,8 +224,7 @@ def _add_generator_flags(parser) -> None:
     parser.add_argument("--mode", choices=["template", "chat"], default=None)
     parser.add_argument("--chat-endpoint", default=None)
     parser.add_argument("--chat-model", default=None)
-    parser.add_argument("--chat-mode", choices=["live", "record", "replay"],
-                        default=None)
+    parser.add_argument("--chat-mode", choices=chat.MODES, default=None)
     parser.add_argument("--cassette", default=None)
     parser.add_argument("--max-concurrent", type=int, default=None)
 
@@ -308,10 +307,9 @@ def _cmd_eval(args, config: AppConfig) -> int:
     return 0
 
 
-def _generator_spec(args, config: AppConfig, seed: int) -> generate.GeneratorSpec:
-    mode = config.get("gen.mode")
+def _generator_spec(config: AppConfig, seed: int) -> generate.GeneratorSpec:
     return generate.GeneratorSpec(
-        mode=mode,
+        mode=config.get("gen.mode"),
         chat_endpoint=config.get("gen.chat_endpoint"),
         chat_model=config.get("gen.chat_model"),
         chat_mode=config.get("gen.chat_mode"),
@@ -343,18 +341,16 @@ def _cmd_gen(args, config: AppConfig) -> int:
     if args.gen_command == "questions":
         corpus = load_corpus(args.corpus)
         clusters = generate.load_clusters(args.clusters_path)
-        spec = _generator_spec(args, config, seed)
-        client = spec.make_client()
-        questions = generate.generate_questions(corpus, clusters, spec, client)
+        spec = _generator_spec(config, seed)
+        questions = generate.generate_questions(corpus, clusters, spec)
         generate.save_questions(questions, args.out)
         print(f"wrote {len(questions)} questions to {args.out}", file=sys.stderr)
         return 0
     if args.gen_command == "filter":
         corpus = load_corpus(args.corpus)
-        spec = _generator_spec(args, config, seed)
-        client = spec.make_client()
+        spec = _generator_spec(config, seed)
         questions = generate.load_questions(args.questions)
-        flagged = generate.apply_cyclic_filter(questions, corpus, spec, client)
+        flagged = generate.apply_cyclic_filter(questions, corpus, spec)
         generate.save_questions(flagged, args.out)
         kept = sum(q.filtered for q in flagged)
         print(f"kept {kept} of {len(flagged)} questions", file=sys.stderr)

@@ -32,6 +32,7 @@ from .data import (
     atomic_write,
     compute_stats,
     read_lines,
+    record_string,
 )
 from .embed import EmbedderSpec, embed_texts, normalize_rows, tokenize
 from .errors import ChatError, GenerationError
@@ -465,19 +466,10 @@ def distinctive_tokens(
     return tuple(ordered[:limit])
 
 
-def _chat_client(spec: GeneratorSpec, client: ChatClient | None) -> ChatClient | None:
-    """The one template/chat switch: the chat client, None in template mode."""
-    if spec.mode == "template":
-        return None
-    if client is None:
-        raise GenerationError("chat mode requires a chat client")
-    return client
-
-
-def _question(chat: ChatClient | None, groups, **fields) -> GeneratedQuestion:
+def _question(client: ChatClient | None, groups, **fields) -> GeneratedQuestion:
     """A question with its backend's provenance; only template questions
     keep their answer token groups, which the offline proxy needs."""
-    if chat is None:
+    if client is None:
         return GeneratedQuestion(answer_token_groups=groups, **fields)
     return GeneratedQuestion(provenance="chat-model", **fields)
 
@@ -492,35 +484,34 @@ def _ask_questioner(client: ChatClient, template: str, **fields: str) -> str:
 
 def gen_atomic(
     candidates: Sequence[Passage],
-    spec: GeneratorSpec,
     *,
     cluster_id: int = 0,
     id_stem: str = "q0",
     client: ChatClient | None = None,
 ) -> tuple[list[GeneratedQuestion], GeneratedQuestion]:
     """One simple question per candidate plus one disjunctive question
-    answerable by any candidate individually."""
+    answerable by any candidate individually. Every step asks client, the
+    chat backend, or with None builds its text from templates."""
     if not 2 <= len(candidates) <= 3:
         raise GenerationError("atomic generation needs 2 or 3 candidates")
     ids = tuple(p.id for p in candidates)
     topics = [distinctive_tokens(p, candidates) for p in candidates]
 
-    chat = _chat_client(spec, client)
-    if chat is None:
+    if client is None:
         phrases = [" ".join(t) for t in topics]
         simple_texts = [f"What does the passage about {p} say?" for p in phrases]
         disj_text = f"What does the passage about {' or '.join(phrases)} say?"
     else:
         simple_texts = [
-            _ask_questioner(chat, DEFAULT_PROMPTS.simple, paragraph=p.text)
+            _ask_questioner(client, DEFAULT_PROMPTS.simple, paragraph=p.text)
             for p in candidates
         ]
         block = "\n\n".join(p.text for p in candidates)
-        disj_text = _ask_questioner(chat, DEFAULT_PROMPTS.disjunctive, paragraphs=block)
+        disj_text = _ask_questioner(client, DEFAULT_PROMPTS.disjunctive, paragraphs=block)
 
     simples = [
         _question(
-            chat,
+            client,
             (topics[i],),
             question_id=f"{id_stem}-simple-{i}",
             qtype=QuestionType.SIMPLE,
@@ -533,7 +524,7 @@ def gen_atomic(
         for i, text in enumerate(simple_texts)
     ]
     disjunctive = _question(
-        chat,
+        client,
         tuple(topics),
         question_id=f"{id_stem}-disj",
         qtype=QuestionType.DISJUNCTIVE,
@@ -549,7 +540,6 @@ def gen_atomic(
 def gen_and(
     q_disj: GeneratedQuestion,
     candidates: Sequence[Passage],
-    spec: GeneratorSpec,
     *,
     rng: np.random.Generator,
     id_stem: str = "q0",
@@ -562,12 +552,11 @@ def gen_and(
     topic = distinctive_tokens(positive, candidates)
     phrase = " ".join(topic)
 
-    chat = _chat_client(spec, client)
-    if chat is None:
+    if client is None:
         text = q_disj.text.rstrip("?") + f" and what is specific to {phrase}?"
     else:
         text = _ask_questioner(
-            chat,
+            client,
             DEFAULT_PROMPTS.and_converter,
             question=q_disj.text,
             positive_paragraphs=f"[positive] {positive.text}",
@@ -575,7 +564,7 @@ def gen_and(
         )
 
     return _question(
-        chat,
+        client,
         (topic,),
         question_id=f"{id_stem}-and",
         qtype=QuestionType.AND,
@@ -591,7 +580,6 @@ def gen_and(
 def gen_or(
     simple_questions: Sequence[GeneratedQuestion],
     candidates: Sequence[Passage],
-    spec: GeneratorSpec,
     *,
     rng: np.random.Generator,
     id_stem: str = "q0",
@@ -606,15 +594,14 @@ def gen_or(
     positives = frozenset(next(iter(q.positives)) for q in (first, second))
     expression = render(Or(Atom(first.text), Atom(second.text)))
 
-    chat = _chat_client(spec, client)
-    if chat is None:
+    if client is None:
         tail = second.text[0].lower() + second.text[1:]
         text = f"{first.text.rstrip('?')} or {tail.rstrip('?')}?"
     else:
-        text = _ask_questioner(chat, DEFAULT_PROMPTS.or_converter, expression=expression)
+        text = _ask_questioner(client, DEFAULT_PROMPTS.or_converter, expression=expression)
 
     return _question(
-        chat,
+        client,
         first.answer_token_groups + second.answer_token_groups,
         question_id=f"{id_stem}-or",
         qtype=QuestionType.OR,
@@ -631,7 +618,6 @@ def gen_not(
     q_disj: GeneratedQuestion,
     simple_questions: Sequence[GeneratedQuestion],
     candidates: Sequence[Passage],
-    spec: GeneratorSpec,
     *,
     rng: np.random.Generator,
     id_stem: str = "q0",
@@ -646,14 +632,13 @@ def gen_not(
     positives = frozenset(p.id for p in candidates) - {negative_id}
     expression = render(Not(Atom(q_disj.text), Atom(excluded.text)))
 
-    chat = _chat_client(spec, client)
-    if chat is None:
+    if client is None:
         negative = next(p for p in candidates if p.id == negative_id)
         topic = " ".join(distinctive_tokens(negative, candidates))
         text = q_disj.text.rstrip("?") + f" but not related to {topic}?"
     else:
         text = _ask_questioner(
-            chat, DEFAULT_PROMPTS.not_converter, expression=expression
+            client, DEFAULT_PROMPTS.not_converter, expression=expression
         )
 
     groups = tuple(
@@ -663,7 +648,7 @@ def gen_not(
         for g in question.answer_token_groups
     )
     return _question(
-        chat,
+        client,
         groups,
         question_id=f"{id_stem}-not",
         qtype=QuestionType.NOT,
@@ -695,20 +680,16 @@ def _chat_answers(client: ChatClient, question: str, passage: Passage) -> bool:
 
 
 def cyclic_filter(
-    question: GeneratedQuestion,
-    corpus: Corpus,
-    spec: GeneratorSpec,
-    client: ChatClient | None = None,
+    question: GeneratedQuestion, corpus: Corpus, client: ChatClient | None = None
 ) -> bool:
     """Keep a question iff every positive answers it and every explicit
     negative does not.
 
-    Template mode decides answerability by token containment against the
-    question's answer_token_groups; chat mode asks the answerer model per
+    With no client, answerability is token containment against the
+    question's answer_token_groups; a chat client asks the answerer model per
     passage. Chat transport failures mark the question unfiltered.
     """
-    chat = _chat_client(spec, client)
-    if chat is None:
+    if client is None:
         if not question.answer_token_groups:
             raise GenerationError(
                 f"question {question.question_id!r} lacks answer token groups; "
@@ -716,7 +697,7 @@ def cyclic_filter(
             )
         answers = lambda p: _proxy_answers(p, question.answer_token_groups)
     else:
-        answers = lambda p: _chat_answers(chat, question.text, p)
+        answers = lambda p: _chat_answers(client, question.text, p)
 
     try:
         for passage_id in sorted(question.positives):
@@ -739,16 +720,15 @@ def apply_cyclic_filter(
     questions: Sequence[GeneratedQuestion],
     corpus: Corpus,
     spec: GeneratorSpec,
-    client: ChatClient | None = None,
 ) -> list[GeneratedQuestion]:
-    """Run cyclic_filter over all questions and set their filtered flags."""
-    if spec.mode == "chat" and len(questions) > 1:
+    """Run cyclic_filter over all questions, with the spec's chat client,
+    and set their filtered flags."""
+    client = spec.make_client()
+    if client is not None and len(questions) > 1:
         with ThreadPoolExecutor(max_workers=spec.max_concurrent) as pool:
-            verdicts = list(
-                pool.map(lambda q: cyclic_filter(q, corpus, spec, client), questions)
-            )
+            verdicts = list(pool.map(lambda q: cyclic_filter(q, corpus, client), questions))
     else:
-        verdicts = [cyclic_filter(q, corpus, spec, client) for q in questions]
+        verdicts = [cyclic_filter(q, corpus, client) for q in questions]
     return [replace(q, filtered=kept) for q, kept in zip(questions, verdicts)]
 
 
@@ -760,10 +740,10 @@ def generate_questions(
     corpus: Corpus,
     clusters: Sequence[Cluster],
     spec: GeneratorSpec,
-    client: ChatClient | None = None,
 ) -> list[GeneratedQuestion]:
     """Visit clusters round-robin until n_per_type AND, OR, and NOT
-    questions exist; every visit also yields the atomic questions."""
+    questions exist; every visit also yields the atomic questions, all
+    written with the spec's chat client."""
     unknown = [pid for c in clusters for pid in c.passage_ids if pid not in corpus]
     if unknown:
         raise GenerationError(
@@ -773,6 +753,7 @@ def generate_questions(
     eligible = [c for c in clusters if len(c.passage_ids) >= 2]
     if not eligible:
         raise GenerationError("no cluster has 2 or more passages")
+    client = spec.make_client()
     questions: list[GeneratedQuestion] = []
     visits = 0
     round_idx = 0
@@ -786,20 +767,18 @@ def generate_questions(
             rng = np.random.default_rng(seed_key + [1])
             id_stem = f"c{cluster.cluster_id:04d}r{round_idx:03d}"
             simples, disj = gen_atomic(
-                candidates, spec, cluster_id=cluster.cluster_id,
-                id_stem=id_stem, client=client,
+                candidates, cluster_id=cluster.cluster_id, id_stem=id_stem, client=client
             )
             questions.extend(simples)
             questions.append(disj)
             questions.append(
-                gen_and(disj, candidates, spec, rng=rng, id_stem=id_stem, client=client)
+                gen_and(disj, candidates, rng=rng, id_stem=id_stem, client=client)
             )
             questions.append(
-                gen_or(simples, candidates, spec, rng=rng, id_stem=id_stem, client=client)
+                gen_or(simples, candidates, rng=rng, id_stem=id_stem, client=client)
             )
             questions.append(
-                gen_not(disj, simples, candidates, spec, rng=rng, id_stem=id_stem,
-                        client=client)
+                gen_not(disj, simples, candidates, rng=rng, id_stem=id_stem, client=client)
             )
             visits += 1
         round_idx += 1
@@ -878,9 +857,9 @@ def load_questions(path: str | Path) -> list[GeneratedQuestion]:
                     qtype=QuestionType.parse(raw["qtype"]),
                     text=raw["text"],
                     source_cluster=int(raw["source_cluster"]),
-                    candidate_ids=tuple(raw["candidate_ids"]),
-                    positives=frozenset(raw["positives"]),
-                    negatives=frozenset(raw["negatives"]),
+                    candidate_ids=_passage_ids(raw["candidate_ids"], "candidate_ids"),
+                    positives=frozenset(_passage_ids(raw["positives"], "positives")),
+                    negatives=frozenset(_passage_ids(raw["negatives"], "negatives")),
                     provenance=raw["provenance"],
                     filtered=bool(raw["filtered"]),
                     expression=raw.get("expression"),
@@ -897,6 +876,15 @@ def load_questions(path: str | Path) -> list[GeneratedQuestion]:
     return questions
 
 
+def _passage_ids(raw, name: str) -> tuple[str, ...]:
+    """A JSON list of passage ids, each read as load_corpus reads an id."""
+    if not isinstance(raw, list):
+        raise GenerationError(f"{name} must be a list of passage ids")
+    return tuple(
+        record_string(pid, f"a {name} entry", GenerationError, integer=True) for pid in raw
+    )
+
+
 def save_clusters(clusters: Sequence[Cluster], path: str | Path) -> None:
     payload = [
         {"cluster_id": c.cluster_id, "passage_ids": list(c.passage_ids)}
@@ -910,7 +898,10 @@ def load_clusters(path: str | Path) -> list[Cluster]:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         return [
-            Cluster(cluster_id=raw["cluster_id"], passage_ids=tuple(raw["passage_ids"]))
+            Cluster(
+                cluster_id=raw["cluster_id"],
+                passage_ids=_passage_ids(raw["passage_ids"], "passage_ids"),
+            )
             for raw in payload
         ]
     except (ValueError, KeyError, TypeError, RecursionError, GenerationError) as exc:

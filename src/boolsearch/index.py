@@ -136,8 +136,6 @@ class Index:
     matrix: np.ndarray  # float32, len(doc_ids) x dim, column-major, read-only
     similarity: str
     spec: EmbedderSpec
-    fingerprint: str
-    load_warnings: tuple[str, ...] = field(default=(), compare=False)
     # derived once here, never lazily: one Index is shared across threads
     _id_rank: np.ndarray = field(init=False, repr=False, compare=False)
     _row_norm_bound: float = field(init=False, repr=False, compare=False)
@@ -158,11 +156,6 @@ class Index:
             raise BoolSearchError(
                 f"index matrix dim {self.matrix.shape[1]} does not match the "
                 f"embedder spec dim {self.spec.dim}"
-            )
-        if self.fingerprint != self.spec.fingerprint():
-            raise BoolSearchError(
-                f"index fingerprint {self.fingerprint!r} does not match its "
-                f"embedder spec ({self.spec.fingerprint()})"
             )
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise BoolSearchError("index doc ids must be distinct")
@@ -218,7 +211,6 @@ class Index:
             and self.doc_ids == other.doc_ids
             and self.similarity == other.similarity
             and self.spec == other.spec
-            and self.fingerprint == other.fingerprint
             and self.matrix.dtype == other.matrix.dtype
             and np.array_equal(self.matrix, other.matrix)
         )
@@ -260,7 +252,6 @@ def build_index(
         matrix=matrix,
         similarity=similarity,
         spec=spec,
-        fingerprint=spec.fingerprint(),
     )
 
 
@@ -401,7 +392,7 @@ def save_index(index: Index, path: str | Path) -> None:
                             index.dim, len(index.doc_ids)))
         f.write(struct.pack("<I", len(spec_json)))
         f.write(spec_json)
-        f.write(index.fingerprint.encode("ascii")[:16].ljust(16, b"\0"))
+        f.write(index.spec.fingerprint().encode("ascii")[:16].ljust(16, b"\0"))
         for doc_id in index.doc_ids:
             encoded = doc_id.encode("utf-8")
             f.write(struct.pack("<I", len(encoded)))
@@ -422,7 +413,7 @@ def load_index(path: str | Path, expected_spec: EmbedderSpec | None = None) -> I
     a non-finite matrix entry.
 
     A fingerprint differing from expected_spec is not an error (the file
-    is self-describing) but is surfaced in Index.load_warnings.
+    is self-describing) but is logged as a warning.
     """
     header = 4 + struct.calcsize("<IBIQ")
     with open(path, "rb") as f:
@@ -491,28 +482,30 @@ def load_index(path: str | Path, expected_spec: EmbedderSpec | None = None) -> I
         # ValueError covers undecodable UTF-8 and JSON, and integers too long to read
         except (struct.error, ValueError, RecursionError) as exc:
             raise IndexFormatError(f"{path}: corrupt index file: {exc}") from None
-    warnings: tuple[str, ...] = ()
     if expected_spec is not None and expected_spec.fingerprint() != fingerprint:
-        message = (
-            f"index fingerprint {fingerprint} does not match the configured "
-            f"embedder spec ({expected_spec.fingerprint()}); "
-            "queries will use the spec stored in the index"
+        logger.warning(
+            "index fingerprint %s does not match the configured embedder spec (%s); "
+            "queries will use the spec stored in the index",
+            fingerprint,
+            expected_spec.fingerprint(),
         )
-        logger.warning(message)
-        warnings = (message,)
     try:
-        return Index(
+        index = Index(
             doc_ids=tuple(doc_ids),
             matrix=matrix,
             similarity=SIMILARITIES[sim_code],
             spec=_spec_from_json(spec_raw),
-            fingerprint=fingerprint,
-            load_warnings=warnings,
         )
     # covers the spec's own checks and Index's: dim against the header's,
-    # the stored fingerprint, distinct ids, finite float32 entries
+    # distinct ids, finite float32 entries
     except BoolSearchError as exc:
         raise IndexFormatError(f"{path}: {exc}") from None
+    if index.spec.fingerprint() != fingerprint:
+        raise IndexFormatError(
+            f"{path}: index fingerprint {fingerprint!r} does not match its "
+            f"embedder spec ({index.spec.fingerprint()})"
+        )
+    return index
 
 
 def _spec_from_json(raw) -> EmbedderSpec:

@@ -22,6 +22,7 @@ interpreter's recursion limit.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .chat import ChatClient
@@ -374,13 +375,22 @@ DECOMPOSER_SYSTEM = (
 )
 
 # Connectives the deterministic fallback splitter recognizes, most
-# specific first; NOT-like phrasings are checked before or/and.
-_NOT_CONNECTIVES = (
-    " but is unrelated to ",
-    " but is not related to ",
-    " but not related to ",
-    " not related to ",
-    " but not ",
+# specific first; NOT-like phrasings are checked before or/and. They match
+# the question itself, ASCII letters in any case: its lowercase can be
+# longer ("İ" lowers to two characters), so offsets in it would be wrong
+_NOT_CONNECTIVES = tuple(
+    re.compile(re.escape(connective), re.IGNORECASE | re.ASCII)
+    for connective in (
+        " but is unrelated to ",
+        " but is not related to ",
+        " but not related to ",
+        " not related to ",
+        " but not ",
+    )
+)
+_OR_AND = tuple(
+    (re.compile(re.escape(connective), re.IGNORECASE | re.ASCII), node)
+    for connective, node in ((" or ", Or), (" and ", And))
 )
 
 
@@ -391,39 +401,26 @@ def fallback_decompose(question: str) -> BooleanExpr:
     with no connective becomes a single atom.
     """
     body = question.strip()
-    lowered = body.lower()
     for connective in _NOT_CONNECTIVES:
-        at = lowered.find(connective)
-        if at != -1:
+        found = connective.search(body)
+        if found:
             return Not(
-                _fragment_atom(body[:at], question),
-                _fragment_atom(body[at + len(connective) :], question),
+                _fragment_atom(body[: found.start()], question),
+                _fragment_atom(body[found.end() :], question),
             )
-    for connective, node in ((" or ", Or), (" and ", And)):
-        if connective in lowered:
-            parts = _split_connective(body, lowered, connective)
+    for connective, node in _OR_AND:
+        parts = connective.split(body, maxsplit=MAX_EXPR_DEPTH + 1)
+        if len(parts) > 1:
             if len(parts) > MAX_EXPR_DEPTH + 1:
                 raise DecompositionError(
                     f"could not decompose {question!r}: more than {MAX_EXPR_DEPTH} "
-                    f"{connective.strip()!r} connectives"
+                    f"{node.__name__.lower()!r} connectives"
                 )
             expr: BooleanExpr = _fragment_atom(parts[0], question)
             for part in parts[1:]:
                 expr = node(expr, _fragment_atom(part, question))
             return expr
     return _fragment_atom(body, question)
-
-
-def _split_connective(body: str, lowered: str, connective: str) -> list[str]:
-    parts = []
-    start = 0
-    while True:
-        at = lowered.find(connective, start)
-        if at == -1:
-            parts.append(body[start:])
-            return parts
-        parts.append(body[start:at])
-        start = at + len(connective)
 
 
 def _fragment_atom(fragment: str, question: str) -> Atom:

@@ -121,7 +121,7 @@ def save_index_v1(index: Index, path) -> None:
                     len(index.doc_ids)),
         struct.pack("<I", len(spec_json)),
         spec_json,
-        index.fingerprint.encode("ascii")[:16].ljust(16, b"\0"),
+        index.spec.fingerprint().encode("ascii")[:16].ljust(16, b"\0"),
     ]
     for doc_id in index.doc_ids:
         encoded = doc_id.encode("utf-8")

@@ -56,6 +56,17 @@ class TestDispatch:
         code, out, err = run_cli(capsys, "eval", "--run", "r.jsonl")
         assert code == 1
 
+    @pytest.mark.parametrize("argv, choices", [
+        (["index", "build", "--corpus", "c", "--out", "o", "--sim", "l2"], "'dot', 'cosine'"),
+        (["search", "--index", "i", "--raw", "q", "--not-mode", "fuzzy"], "'hard', 'soft'"),
+        (["gen", "filter", "--corpus", "c", "--questions", "q", "--out", "o",
+          "--chat-mode", "stream"], "'live', 'record', 'replay'"),
+    ], ids=["sim", "not-mode", "chat-mode"])
+    def test_bad_flag_value_is_usage_error(self, capsys, argv, choices):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out
+        assert f"(choose from {choices})" in err
+
     def test_help_exits_zero(self, capsys):
         code, out, err = run_cli(capsys, "--help")
         assert code == 0
@@ -92,8 +103,7 @@ class TestDispatch:
         vector = [value] + [0.0] * 7
         with ScriptedServer(lambda *_: (200, {"vectors": [vector]})) as server:
             spec = EmbedderSpec(kind="remote", dim=8, normalize=False, endpoint=server.url)
-            index = Index(("a", "b"), np.eye(2, 8, dtype=np.float32), "cosine", spec,
-                          spec.fingerprint())
+            index = Index(("a", "b"), np.eye(2, 8, dtype=np.float32), "cosine", spec)
             save_index(index, tmp_path / "r.idx")
             code, out, err = run_cli(
                 capsys, "search", "--index", str(tmp_path / "r.idx"), "--raw", "tiny"
@@ -424,6 +434,27 @@ class TestGenCommands:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "unexpected" not in err
         assert (repr(member) if member else str(clusters)) in err
+
+    @pytest.mark.parametrize("ids, code", [([3, "a"], 0), ([None, "a"], 2)])
+    def test_cluster_ids_read_as_corpus_ids(self, capsys, tmp_path, ids, code):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": pid, "text": f"passage {pid} text {pid}"}) + "\n"
+            for pid in (3, "a", "b")
+        ))
+        clusters = tmp_path / "clusters.json"
+        clusters.write_text(json.dumps([{"cluster_id": 0, "passage_ids": ids}]))
+        result = run_cli(
+            capsys, "gen", "questions", "--corpus", str(corpus),
+            "--clusters", str(clusters), "--out", str(tmp_path / "q.jsonl"),
+            "--per-type", "1",
+        )
+        assert result[0] == code
+        if code:
+            err = result[2]
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: ") and str(clusters) in err
+            assert "not in the corpus" not in err
 
     def test_corrupt_cassette_line_is_runtime_error(
         self, capsys, tmp_path, corpus_file

@@ -136,8 +136,7 @@ WORD_SOUP = st.lists(st.sampled_from([f"w{i}" for i in range(16)]), max_size=10)
 
 
 def one_row_index(spec: EmbedderSpec, similarity: str) -> Index:
-    return Index(("p",), np.ones((1, spec.dim), np.float32), similarity, spec,
-                 spec.fingerprint())
+    return Index(("p",), np.ones((1, spec.dim), np.float32), similarity, spec)
 
 
 def cancelling_pair(dim: int, seed: int) -> tuple[str, str, int]:
@@ -269,8 +268,7 @@ class TestHashedBowMatchesOracle:
         with ScriptedServer(_serve_rows(rows)) as server:
             spec = EmbedderSpec(kind="remote", dim=24, normalize=normalize,
                                 endpoint=server.url)
-            index = Index(("p",), np.ones((1, 24), np.float32), "cosine", spec,
-                          spec.fingerprint())
+            index = Index(("p",), np.ones((1, 24), np.float32), "cosine", spec)
             for i, v in enumerate(rows):
                 if normalize and v.any():
                     v = v / np.linalg.norm(v)

@@ -210,6 +210,9 @@ def test_load_questions(tmp_path, blob):
         return
     # the text is lowercased and tokenized downstream: always a string
     assert all(isinstance(q.text, str) and isinstance(q.question_id, str) for q in questions)
+    # passage ids are looked up in a corpus, whose ids are strings
+    assert all(type(pid) is str for q in questions
+               for pid in (*q.candidate_ids, *q.positives, *q.negatives))
 
 
 @FUZZ
@@ -231,6 +234,7 @@ def test_load_clusters(tmp_path, blob):
         return
     # a cluster id names question ids and seeds sampling: a non-negative int
     assert all(type(c.cluster_id) is int and c.cluster_id >= 0 for c in clusters)
+    assert all(type(pid) is str for c in clusters for pid in c.passage_ids)
 
 
 QUERY_PIECES = st.sampled_from(['"', "(", ")", " AND ", " OR ", " NOT ", "AND", "x", " ", "\\"])

@@ -1,5 +1,6 @@
 import json
 import logging
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -280,7 +281,7 @@ def three_candidates():
 
 class TestTemplateGeneration:
     def test_atomic_counts_and_labels(self):
-        simples, disj = gen_atomic(two_candidates(), TEMPLATE_SPEC)
+        simples, disj = gen_atomic(two_candidates())
         assert len(simples) == 2
         assert all(s.qtype is QuestionType.SIMPLE for s in simples)
         assert simples[0].positives == {"pa"} and not simples[0].negatives
@@ -288,8 +289,8 @@ class TestTemplateGeneration:
         assert disj.positives == {"pa", "pb"} and not disj.negatives
 
     def test_atomic_is_deterministic(self):
-        one = gen_atomic(three_candidates(), TEMPLATE_SPEC)
-        two = gen_atomic(three_candidates(), TEMPLATE_SPEC)
+        one = gen_atomic(three_candidates())
+        two = gen_atomic(three_candidates())
         assert one == two
 
     def test_distinctive_tokens_prefer_unique(self):
@@ -297,40 +298,37 @@ class TestTemplateGeneration:
         assert distinctive_tokens(candidates[0], candidates) == ("stripes", "zebra")
 
     def test_and_labels_n3(self):
-        simples, disj = gen_atomic(three_candidates(), TEMPLATE_SPEC)
-        q = gen_and(disj, three_candidates(), TEMPLATE_SPEC,
-                    rng=np.random.default_rng(0))
+        simples, disj = gen_atomic(three_candidates())
+        q = gen_and(disj, three_candidates(), rng=np.random.default_rng(0))
         assert len(q.positives) == 1 and len(q.negatives) == 2
         assert " and " in q.text
 
     def test_and_labels_n2(self):
-        simples, disj = gen_atomic(two_candidates(), TEMPLATE_SPEC)
-        q = gen_and(disj, two_candidates(), TEMPLATE_SPEC,
-                    rng=np.random.default_rng(0))
+        simples, disj = gen_atomic(two_candidates())
+        q = gen_and(disj, two_candidates(), rng=np.random.default_rng(0))
         assert len(q.positives) == 1 and len(q.negatives) == 1
 
     def test_or_labels(self):
         candidates = three_candidates()
-        simples, _ = gen_atomic(candidates, TEMPLATE_SPEC)
-        q = gen_or(simples, candidates, TEMPLATE_SPEC, rng=np.random.default_rng(1))
+        simples, _ = gen_atomic(candidates)
+        q = gen_or(simples, candidates, rng=np.random.default_rng(1))
         assert len(q.positives) == 2 and len(q.negatives) == 1
         assert " or " in q.text
-        two = gen_or(gen_atomic(two_candidates(), TEMPLATE_SPEC)[0],
-                     two_candidates(), TEMPLATE_SPEC, rng=np.random.default_rng(1))
+        two = gen_or(gen_atomic(two_candidates())[0], two_candidates(),
+                     rng=np.random.default_rng(1))
         assert len(two.positives) == 2 and len(two.negatives) == 0
 
     def test_or_pair_deterministic(self):
         candidates = three_candidates()
-        simples, _ = gen_atomic(candidates, TEMPLATE_SPEC)
-        a = gen_or(simples, candidates, TEMPLATE_SPEC, rng=np.random.default_rng(5))
-        b = gen_or(simples, candidates, TEMPLATE_SPEC, rng=np.random.default_rng(5))
+        simples, _ = gen_atomic(candidates)
+        a = gen_or(simples, candidates, rng=np.random.default_rng(5))
+        b = gen_or(simples, candidates, rng=np.random.default_rng(5))
         assert a.positives == b.positives
 
     def test_not_labels(self):
         candidates = three_candidates()
-        simples, disj = gen_atomic(candidates, TEMPLATE_SPEC)
-        q = gen_not(disj, simples, candidates, TEMPLATE_SPEC,
-                    rng=np.random.default_rng(2))
+        simples, disj = gen_atomic(candidates)
+        q = gen_not(disj, simples, candidates, rng=np.random.default_rng(2))
         assert len(q.positives) == 2 and len(q.negatives) == 1
         assert " but not related to " in q.text
         (negative,) = q.negatives
@@ -338,9 +336,8 @@ class TestTemplateGeneration:
 
     def test_not_expression_parses_to_binary_difference(self):
         candidates = two_candidates()
-        simples, disj = gen_atomic(candidates, TEMPLATE_SPEC)
-        q = gen_not(disj, simples, candidates, TEMPLATE_SPEC,
-                    rng=np.random.default_rng(2))
+        simples, disj = gen_atomic(candidates)
+        q = gen_not(disj, simples, candidates, rng=np.random.default_rng(2))
         assert isinstance(parse_boolean_query(q.expression), Not)
 
     def test_labeling_invariants_enforced_by_type(self):
@@ -358,9 +355,9 @@ class TestCyclicFilter:
 
     def test_keeps_consistent_question(self):
         candidates = three_candidates()
-        simples, disj = gen_atomic(candidates, TEMPLATE_SPEC)
-        q = gen_and(disj, candidates, TEMPLATE_SPEC, rng=np.random.default_rng(0))
-        assert cyclic_filter(q, self.corpus(), TEMPLATE_SPEC)
+        simples, disj = gen_atomic(candidates)
+        q = gen_and(disj, candidates, rng=np.random.default_rng(0))
+        assert cyclic_filter(q, self.corpus())
 
     def test_drops_when_positive_fails(self):
         q = GeneratedQuestion(
@@ -369,7 +366,7 @@ class TestCyclicFilter:
             positives=frozenset({"pa"}), negatives=frozenset(),
             answer_token_groups=(("missingtoken",),),
         )
-        assert not cyclic_filter(q, self.corpus(), TEMPLATE_SPEC)
+        assert not cyclic_filter(q, self.corpus())
 
     def test_drops_when_negative_answers(self):
         q = GeneratedQuestion(
@@ -379,11 +376,11 @@ class TestCyclicFilter:
             # the negative passage pb contains "quartz"
             answer_token_groups=(("zebra",), ("quartz",)),
         )
-        assert not cyclic_filter(q, self.corpus(), TEMPLATE_SPEC)
+        assert not cyclic_filter(q, self.corpus())
 
     def test_apply_sets_flags(self):
         candidates = three_candidates()
-        simples, disj = gen_atomic(candidates, TEMPLATE_SPEC)
+        simples, disj = gen_atomic(candidates)
         flagged = apply_cyclic_filter(
             simples + [disj], self.corpus(), TEMPLATE_SPEC
         )
@@ -402,6 +399,31 @@ def chat_spec(model="test-answerer"):
 
 
 class TestCyclicFilterChat:
+    # the positive answers and the negative refuses: kept
+    ANSWERED = GeneratedQuestion(
+        question_id="n1", qtype=QuestionType.NOT,
+        text="What color is the sun but not the moon?",
+        source_cluster=0, candidate_ids=("sun", "moon"),
+        positives=frozenset({"sun"}), negatives=frozenset({"moon"}),
+        provenance="chat-model",
+    )
+    # the positive cannot answer: dropped
+    UNANSWERED = GeneratedQuestion(
+        question_id="s1", qtype=QuestionType.SIMPLE,
+        text="What shape is the door?",
+        source_cluster=0, candidate_ids=("door",),
+        positives=frozenset({"door"}), negatives=frozenset(),
+        provenance="chat-model",
+    )
+    # not in the cassette, so replay fails: dropped
+    UNRECORDED = GeneratedQuestion(
+        question_id="s2", qtype=QuestionType.SIMPLE,
+        text="Entirely unrecorded question?",
+        source_cluster=0, candidate_ids=("sun",),
+        positives=frozenset({"sun"}), negatives=frozenset(),
+        provenance="chat-model",
+    )
+
     def corpus(self):
         return Corpus([
             Passage("sun", "The sun is yellow."),
@@ -410,39 +432,31 @@ class TestCyclicFilterChat:
         ])
 
     def test_keeps_when_positive_answers_and_negative_refuses(self):
-        spec = chat_spec()
-        q = GeneratedQuestion(
-            question_id="n1", qtype=QuestionType.NOT,
-            text="What color is the sun but not the moon?",
-            source_cluster=0, candidate_ids=("sun", "moon"),
-            positives=frozenset({"sun"}), negatives=frozenset({"moon"}),
-            provenance="chat-model",
-        )
-        assert cyclic_filter(q, self.corpus(), spec, spec.make_client())
+        assert cyclic_filter(self.ANSWERED, self.corpus(), chat_spec().make_client())
 
     def test_drops_when_positive_cannot_answer(self):
-        spec = chat_spec()
-        q = GeneratedQuestion(
-            question_id="s1", qtype=QuestionType.SIMPLE,
-            text="What shape is the door?",
-            source_cluster=0, candidate_ids=("door",),
-            positives=frozenset({"door"}), negatives=frozenset(),
-            provenance="chat-model",
-        )
-        assert not cyclic_filter(q, self.corpus(), spec, spec.make_client())
+        assert not cyclic_filter(self.UNANSWERED, self.corpus(), chat_spec().make_client())
 
     def test_transport_failure_excludes_and_logs(self, caplog):
-        spec = chat_spec()
-        q = GeneratedQuestion(
-            question_id="s2", qtype=QuestionType.SIMPLE,
-            text="Entirely unrecorded question?",
-            source_cluster=0, candidate_ids=("sun",),
-            positives=frozenset({"sun"}), negatives=frozenset(),
-            provenance="chat-model",
-        )
         with caplog.at_level(logging.WARNING):
-            assert not cyclic_filter(q, self.corpus(), spec, spec.make_client())
+            client = chat_spec().make_client()
+            assert not cyclic_filter(self.UNRECORDED, self.corpus(), client)
         assert any("excluding question" in r.message for r in caplog.records)
+
+    def test_apply_builds_the_spec_client_for_its_pool(self, monkeypatch):
+        pools = []
+
+        class CountingPool(generate.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(generate, "ThreadPoolExecutor", CountingPool)
+        questions = [self.ANSWERED, self.UNANSWERED, self.UNRECORDED]
+        flagged = apply_cyclic_filter(questions, self.corpus(), chat_spec())
+        assert len(pools) == 1
+        assert [q.filtered for q in flagged] == [True, False, False]
+        assert flagged == [replace(q, filtered=q is self.ANSWERED) for q in questions]
 
 
 QUESTIONER = "test-questioner"
@@ -482,7 +496,7 @@ class TestChatGeneration:
                 paragraphs=candidates[0].text + "\n\n" + candidates[1].text
             ): "What natural things are described?",
         })
-        simples, disj = gen_atomic(candidates, spec, client=spec.make_client())
+        simples, disj = gen_atomic(candidates, client=spec.make_client())
         assert [s.text for s in simples] == [
             "What animal has stripes?",
             "What mineral forms crystals?",
@@ -492,7 +506,7 @@ class TestChatGeneration:
 
     def test_and_generation_replays_cassette(self, tmp_path):
         candidates = three_candidates()
-        _, disj = gen_atomic(candidates, TEMPLATE_SPEC)
+        _, disj = gen_atomic(candidates)
         spec = questioner_spec(tmp_path, {
             DEFAULT_PROMPTS.and_converter.format(
                 question=self.DISJ,
@@ -503,8 +517,7 @@ class TestChatGeneration:
                 ),
             ): "Which passage covers syrup from the forest?",
         })
-        q = gen_and(disj, candidates, spec, rng=np.random.default_rng(0),
-                    client=spec.make_client())
+        q = gen_and(disj, candidates, rng=np.random.default_rng(0), client=spec.make_client())
         assert q.text == "Which passage covers syrup from the forest?"
         assert q.provenance == "chat-model"
         assert q.answer_token_groups == ()
@@ -513,7 +526,7 @@ class TestChatGeneration:
 
     def test_or_generation_replays_cassette(self, tmp_path):
         candidates = three_candidates()
-        simples, _ = gen_atomic(candidates, TEMPLATE_SPEC)
+        simples, _ = gen_atomic(candidates)
         expression = (
             '"What does the passage about stripes zebra say?" OR '
             '"What does the passage about crystal quartz say?"'
@@ -522,8 +535,7 @@ class TestChatGeneration:
             DEFAULT_PROMPTS.or_converter.format(expression=expression):
                 "What do zebras or quartz look like?",
         })
-        q = gen_or(simples, candidates, spec, rng=np.random.default_rng(1),
-                   client=spec.make_client())
+        q = gen_or(simples, candidates, rng=np.random.default_rng(1), client=spec.make_client())
         assert q.text == "What do zebras or quartz look like?"
         assert q.provenance == "chat-model"
         assert q.answer_token_groups == ()
@@ -532,35 +544,34 @@ class TestChatGeneration:
 
     def test_not_generation_replays_cassette(self, tmp_path):
         candidates = three_candidates()
-        simples, disj = gen_atomic(candidates, TEMPLATE_SPEC)
+        simples, disj = gen_atomic(candidates)
         expression = f'"{self.DISJ}" NOT "What does the passage about maple syrup say?"'
         spec = questioner_spec(tmp_path, {
             DEFAULT_PROMPTS.not_converter.format(expression=expression):
                 "Which natural things are described, leaving out syrup?",
         })
-        q = gen_not(disj, simples, candidates, spec, rng=np.random.default_rng(2),
-                    client=spec.make_client())
+        q = gen_not(
+            disj, simples, candidates, rng=np.random.default_rng(2), client=spec.make_client()
+        )
         assert q.text == "Which natural things are described, leaving out syrup?"
         assert q.provenance == "chat-model"
         assert q.answer_token_groups == ()
         assert q.positives == {"pa", "pb"} and q.negatives == {"pc"}
         assert q.expression == expression
 
-    @pytest.mark.parametrize("step", ["atomic", "and", "or", "not", "filter"])
-    def test_missing_client_is_an_error(self, step):
+    def test_no_client_runs_the_template_backend(self):
         candidates = three_candidates()
-        simples, disj = gen_atomic(candidates, TEMPLATE_SPEC)
-        spec = GeneratorSpec(mode="chat", chat_model="m")
+        simples, disj = gen_atomic(candidates)
         rng = np.random.default_rng(0)
-        calls = {
-            "atomic": lambda: gen_atomic(candidates, spec),
-            "and": lambda: gen_and(disj, candidates, spec, rng=rng),
-            "or": lambda: gen_or(simples, candidates, spec, rng=rng),
-            "not": lambda: gen_not(disj, simples, candidates, spec, rng=rng),
-            "filter": lambda: cyclic_filter(disj, Corpus(candidates), spec),
-        }
-        with pytest.raises(GenerationError, match="chat mode requires a chat client"):
-            calls[step]()
+        questions = simples + [
+            disj,
+            gen_and(disj, candidates, rng=rng),
+            gen_or(simples, candidates, rng=rng),
+            gen_not(disj, simples, candidates, rng=rng),
+        ]
+        assert all(q.provenance == "template" and q.answer_token_groups for q in questions)
+        # the offline proxy judges them: a chat client would need a cassette
+        assert all(cyclic_filter(q, Corpus(candidates)) for q in simples + [disj])
 
 
 class TestPipeline:
@@ -642,6 +653,41 @@ class TestClusterFileIO:
         path.write_text(text)
         with pytest.raises(GenerationError, match="clusters.json"):
             generate.load_clusters(path)
+
+    def test_integer_ids_read_as_strings(self, tmp_path):
+        path = tmp_path / "clusters.json"
+        path.write_text('[{"cluster_id": 0, "passage_ids": [3, "a"]}]')
+        assert generate.load_clusters(path) == [Cluster(0, ("3", "a"))]
+
+    @pytest.mark.parametrize("ids", ["[null, 1]", "[true]", '[["a"]]', "[1.5]", '"ab"'])
+    def test_bad_ids_name_path(self, tmp_path, ids):
+        path = tmp_path / "clusters.json"
+        path.write_text(f'[{{"cluster_id": 0, "passage_ids": {ids}}}]')
+        with pytest.raises(GenerationError, match="clusters.json.*passage_ids"):
+            generate.load_clusters(path)
+
+
+class TestQuestionFileIO:
+    RECORD = {
+        "question_id": "q", "qtype": "AND", "text": "t?", "source_cluster": 0,
+        "candidate_ids": [3, "a"], "positives": [3], "negatives": ["a"],
+        "provenance": "template", "filtered": False,
+    }
+
+    def test_integer_ids_read_as_strings(self, tmp_path):
+        path = tmp_path / "questions.jsonl"
+        path.write_text(json.dumps(self.RECORD) + "\n")
+        (question,) = load_questions(path)
+        assert question.candidate_ids == ("3", "a")
+        assert question.positives == {"3"} and question.negatives == {"a"}
+
+    @pytest.mark.parametrize("field", ["candidate_ids", "positives", "negatives"])
+    @pytest.mark.parametrize("ids", [[None, "a"], [True, "a"], [["a"], "a"], "3a"])
+    def test_bad_ids_name_path_and_line(self, tmp_path, field, ids):
+        path = tmp_path / "questions.jsonl"
+        path.write_text("\n" + json.dumps({**self.RECORD, field: ids}) + "\n")
+        with pytest.raises(GenerationError, match=f"questions.jsonl:2: .*{field}"):
+            load_questions(path)
 
 
 class TestAssemble:

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import struct
 import tracemalloc
@@ -81,8 +82,7 @@ def load_peak(tmp_path, save):
     rng = np.random.default_rng(71)
     spec = EmbedderSpec(dim=256)
     matrix = rng.standard_normal((4000, 256)).astype(np.float32)
-    index = Index(tuple(f"d{i}" for i in range(4000)), matrix, "dot", spec,
-                  spec.fingerprint())
+    index = Index(tuple(f"d{i}" for i in range(4000)), matrix, "dot", spec)
     save(index, tmp_path / "x.idx")
     tracemalloc.start()
     try:
@@ -149,7 +149,7 @@ def with_first_term_sums(index):
     matrix = FirstTermSums(index.matrix.shape, np.float32, order="F")
     matrix[...] = index.matrix
     matrix.flags.writeable = False
-    return Index(index.doc_ids, matrix, index.similarity, index.spec, index.fingerprint)
+    return Index(index.doc_ids, matrix, index.similarity, index.spec)
 
 
 class ScriptedEmbedder:
@@ -166,7 +166,7 @@ class ScriptedEmbedder:
         # ids in a fixed shuffled order, so a row's id rank is not its position
         order = np.random.default_rng(len(matrix)).permutation(len(matrix))
         ids = tuple(f"r{i:06d}" for i in order)
-        return Index(ids, matrix.astype(np.float32), similarity, spec, spec.fingerprint())
+        return Index(ids, matrix.astype(np.float32), similarity, spec)
 
 
 @pytest.fixture
@@ -257,21 +257,20 @@ class TestBuildIndex:
     def test_non_float32_matrix_rejected(self):
         index = build_index(small_corpus(), SPEC, "dot")
         with pytest.raises(BoolSearchError, match="float32"):
-            Index(index.doc_ids, index.matrix.astype(np.float64), "dot", SPEC,
-                  SPEC.fingerprint())
+            Index(index.doc_ids, index.matrix.astype(np.float64), "dot", SPEC)
 
     def test_non_finite_matrix_rejected(self):
         matrix = build_index(small_corpus(), SPEC, "dot").matrix.copy()
         matrix[1, 5] = np.inf
         with pytest.raises(BoolSearchError, match="non-finite"):
-            Index(("p1", "p2", "p3"), matrix, "dot", SPEC, SPEC.fingerprint())
+            Index(("p1", "p2", "p3"), matrix, "dot", SPEC)
 
     def test_matrix_is_column_major_and_read_only(self, tmp_path):
         built = build_index(small_corpus(), SPEC, "dot")
         save_index(built, tmp_path / "x.idx")
         loaded = load_index(tmp_path / "x.idx")
         mine = built.matrix.copy()
-        given = Index(built.doc_ids, mine, "dot", SPEC, SPEC.fingerprint())
+        given = Index(built.doc_ids, mine, "dot", SPEC)
         mine[0, 0] = 5.0  # the index holds a copy of a caller's writable array
         assert given == built
         for index in (built, loaded, given):
@@ -284,7 +283,7 @@ class TestBuildIndex:
         base = np.array(built.matrix, order="F")
         view = base.view()
         view.flags.writeable = False
-        given = Index(built.doc_ids, view, "dot", SPEC, SPEC.fingerprint())
+        given = Index(built.doc_ids, view, "dot", SPEC)
         base[0, 0] = 5.0  # a write through the base must not reach the index
         assert given == built
 
@@ -392,7 +391,6 @@ class TestTopK:
                 matrix=matrix,
                 similarity=similarity,
                 spec=spec,
-                fingerprint=spec.fingerprint(),
             )
             for query, k in (("w1 w2", 20), ("w7", 50)):
                 got = [(d.doc_id, d.score) for d in top_k(index, query, k)]
@@ -413,7 +411,7 @@ class TestTopK:
         matrix = matrix.astype(np.float32)
         query = " ".join(f"t{i}" for i in range(60))
         ids = tuple(f"r{i:05d}" for i in range(len(matrix)))
-        index = Index(ids, matrix, "dot", SPEC, SPEC.fingerprint())
+        index = Index(ids, matrix, "dot", SPEC)
         vec = embed_query(index, query)
         scores = matrix.astype(np.float64) @ vec
         # over a hundred distinct float64 scores round to under a dozen float32s
@@ -427,7 +425,7 @@ class TestTopK:
         # rows, so those columns are screened from their postings
         for j in range(0, dim, 2):
             matrix[rng.permutation(len(matrix))[len(matrix) // 8 :], j] = 0.0
-        index = Index(ids, matrix, "dot", SPEC, SPEC.fingerprint())
+        index = Index(ids, matrix, "dot", SPEC)
         assert index._dense.tolist() == [j % 2 == 1 for j in range(dim)]
         assert_screen_within_bound(index, query)
         for k in (1, 3, 10):
@@ -441,7 +439,7 @@ class TestTopK:
             1e36, 3e37, size=(500, SPEC.dim))
         matrix[:50] = np.abs(matrix[:50])
         ids = tuple(f"d{i:03d}" for i in range(len(matrix)))
-        index = Index(ids, matrix.astype(np.float32), "dot", SPEC, SPEC.fingerprint())
+        index = Index(ids, matrix.astype(np.float32), "dot", SPEC)
         query = " ".join(f"t{i}" for i in range(40))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -706,7 +704,7 @@ class TestTopK:
         minus = rng.random(n) < 0.5
         matrix[minus] = np.copysign(matrix[minus], -1.0)  # zeros become -0.0
         ids = tuple(f"d{i:05d}" for i in rng.permutation(n))
-        index = Index(ids, matrix, "dot", spec, spec.fingerprint())
+        index = Index(ids, matrix, "dot", spec)
         if sums == "first-term":
             index = with_first_term_sums(index)
         assert not embed_query(index, "!?").any()
@@ -731,7 +729,7 @@ class TestTopK:
         matrix = counts @ words.astype(np.float32)  # small integers: exact
         del counts
         index = Index(tuple(f"d{i:06d}" for i in rng.permutation(len(matrix))), matrix,
-                      "dot", spec, spec.fingerprint())
+                      "dot", spec)
         del matrix
         for query, k in (("w7", 5_000), ("w7 w8", 40_000), ("w0", 20)):
             assert_matches_oracle(index, query, k)
@@ -809,15 +807,20 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match="trailing"):
             load_index(path)
 
-    def test_fingerprint_mismatch_warns_in_metadata(self, tmp_path):
+    def test_fingerprint_mismatch_logs_a_warning(self, tmp_path, caplog):
         index = build_index(small_corpus(), SPEC, "dot")
         path = tmp_path / "x.idx"
         save_index(index, path)
         other_spec = EmbedderSpec(kind="hashed-bow", dim=64, normalize=False, seed=10)
-        loaded = load_index(path, expected_spec=other_spec)
-        assert loaded.load_warnings and "fingerprint" in loaded.load_warnings[0]
-        matching = load_index(path, expected_spec=SPEC)
-        assert matching.load_warnings == ()
+        with caplog.at_level(logging.WARNING, logger="boolsearch.index"):
+            assert load_index(path, expected_spec=other_spec) == index
+        (record,) = caplog.records
+        assert record.name == "boolsearch.index" and record.levelno == logging.WARNING
+        assert "fingerprint" in record.getMessage()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="boolsearch.index"):
+            load_index(path, expected_spec=SPEC)
+        assert not caplog.records
 
     @pytest.mark.parametrize(
         "edit",
@@ -858,7 +861,8 @@ class TestPersistence:
         path = tmp_path / "x.idx"
         save_index(build_index(small_corpus(), SPEC, "dot"), path)
         rewrite_spec_json(path, lambda spec: {**spec, "seed": 7})
-        with pytest.raises(IndexFormatError, match="fingerprint"):
+        with pytest.raises(IndexFormatError,
+                           match="index fingerprint '.*' does not match its embedder spec"):
             load_index(path)
 
     def test_spec_dim_disagreeing_with_header_rejected(self, tmp_path):

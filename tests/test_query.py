@@ -426,11 +426,24 @@ class TestDecompose:
         expr = fallback_decompose("What causes X but is unrelated to Y?")
         assert expr == Not(Atom("What causes X"), Atom("Y"))
 
+    def test_fallback_splits_text_whose_lowercase_is_longer(self):
+        # "İ" lowers to two characters, so offsets found in the lowercase
+        # would cut the fragments short
+        assert fallback_decompose("İstanbul hotels or Ankara hotels?") == Or(
+            Atom("İstanbul hotels"), Atom("Ankara hotels")
+        )
+        assert fallback_decompose("İİ cats but not dogs") == Not(Atom("İİ cats"), Atom("dogs"))
+        assert fallback_decompose("Cats AND dogs But Not birds") == Not(
+            Atom("Cats AND dogs"), Atom("birds")
+        )
+
     def test_fallback_connectives_are_bounded(self):
         expr = fallback_decompose(" or ".join(["cats"] * (MAX_EXPR_DEPTH + 1)))
         assert len(atoms(expr)) == MAX_EXPR_DEPTH + 1
-        with pytest.raises(DecompositionError, match="more than"):
+        with pytest.raises(DecompositionError, match="more than 100 'or' connectives"):
             fallback_decompose(" or ".join(["cats"] * (MAX_EXPR_DEPTH + 2)))
+        with pytest.raises(DecompositionError, match="more than 100 'and' connectives"):
+            fallback_decompose(" AND ".join(["cats"] * (MAX_EXPR_DEPTH + 2)))
         with pytest.raises(DecompositionError, match="more than"):
             fallback_decompose(" or ".join(["cats"] * 1500))
 
