@@ -15,7 +15,7 @@ import os
 import threading
 from pathlib import Path
 
-from .data import read_lines
+from .data import read_records
 from .errors import ChatError
 from .remote import post_json
 
@@ -84,22 +84,9 @@ class ChatClient:
         return content
 
     def _load_cassette(self) -> dict[str, str]:
-        cassette = {}
         if not self.cassette_path.exists():
-            return cassette
-        for lineno, line in read_lines(self.cassette_path, ChatError):
-            if not line.strip():
-                continue
-            where = f"{self.cassette_path}:{lineno}"
-            try:
-                record = json.loads(line)
-                key, response = record["request_hash"], record["response"]
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                raise ChatError(f"{where}: malformed cassette line: {exc!r}") from None
-            if not isinstance(key, str) or not isinstance(response, str):
-                raise ChatError(f"{where}: request_hash and response must be strings")
-            cassette[key] = response
-        return cassette
+            return {}
+        return dict(entry for _, entry in read_records(self.cassette_path, ChatError, _entry))
 
     def _post(self, messages: list[dict]) -> str:
         api_key = os.environ.get(API_KEY_ENV_VAR)
@@ -126,3 +113,11 @@ class ChatClient:
                 "not a string"
             )
         return content
+
+
+def _entry(record: dict) -> tuple[str, str]:
+    """One cassette line's (request_hash, response)."""
+    key, response = record["request_hash"], record["response"]
+    if not isinstance(key, str) or not isinstance(response, str):
+        raise ChatError("request_hash and response must be strings")
+    return key, response

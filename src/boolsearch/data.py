@@ -16,9 +16,12 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import BoolSearchError, CorpusFormatError, JudgmentFormatError
+
+T = TypeVar("T")
+FORMATS = ("table", "json")  # of render_stats and metrics.render_report
 
 
 class QuestionType(str, Enum):
@@ -165,6 +168,32 @@ def read_lines(
             raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
 
 
+def read_records(
+    path: str | Path, error: type[BoolSearchError], parse: Callable[[dict], T]
+) -> Iterator[tuple[int, T]]:
+    """Yield (1-based line number, parse(record)) per non-blank line of a
+    JSON Lines file of objects. A bad line, a field parse finds missing (a
+    KeyError) or what parse raises ends as `error` naming path:line."""
+    for lineno, line in read_lines(path, error):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # as in _parse_corpus_line
+            raise error(f"{where}: invalid JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise error(f"{where}: record must be an object, got {type(record).__name__}")
+        try:
+            value = parse(record)
+        except KeyError as exc:
+            raise error(f"{where}: missing field {exc}") from None
+        # OverflowError: an integer too large for a float
+        except (ValueError, OverflowError, TypeError, BoolSearchError) as exc:
+            raise error(f"{where}: {exc}") from None
+        yield lineno, value
+
+
 def _is_utf8(line: bytes) -> bool:
     try:
         line.decode("utf-8")
@@ -209,6 +238,13 @@ def record_string(
         kind = "a string or an integer" if integer else "a string"
         raise error(f"{name} must be {kind}, got {type(value).__name__}")
     return value
+
+
+def record_ids(value, name: str, error: type[BoolSearchError]) -> tuple[str, ...]:
+    """A list field of passage ids, each read as load_corpus reads an id."""
+    if not isinstance(value, list):
+        raise error(f"{name} must be a list of passage ids")
+    return tuple(record_string(pid, f"a {name} entry", error, integer=True) for pid in value)
 
 
 def _parse_corpus_line(line: str) -> Passage:
@@ -262,17 +298,7 @@ def load_judgments(path: str | Path, corpus: Corpus | None = None) -> list[Judgm
     When a corpus is supplied, every labeled passage id must exist in it.
     """
     judgments = []
-    for lineno, line in read_lines(path, JudgmentFormatError):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # as in _parse_corpus_line
-            raise JudgmentFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-        try:
-            judgment = judgment_from_record(record)
-        except JudgmentFormatError as exc:
-            raise JudgmentFormatError(f"{path}:{lineno}: {exc}") from None
+    for lineno, judgment in read_records(path, JudgmentFormatError, judgment_from_record):
         if corpus is not None:
             unknown = [
                 pid for pid in judgment.positives | judgment.negatives
@@ -288,27 +314,18 @@ def load_judgments(path: str | Path, corpus: Corpus | None = None) -> list[Judgm
 
 
 def judgment_from_record(record: Mapping) -> Judgment:
-    if not isinstance(record, Mapping):
-        raise JudgmentFormatError(f"record must be an object, got {type(record).__name__}")
     missing = [k for k in _JUDGMENT_FIELDS if k not in record]
     if missing:
         raise JudgmentFormatError(f"record is missing fields {missing}")
-    for key in ("positives", "negatives"):
-        if not isinstance(record[key], list):
-            raise JudgmentFormatError(f"{key} must be a list of passage ids")
     error = JudgmentFormatError
+    positives = record_ids(record["positives"], "positives", error)
+    negatives = record_ids(record["negatives"], "negatives", error)
     return Judgment(
         question_id=record_string(record["question_id"], "question_id", error, integer=True),
         question=record_string(record["question"], "question", error),
         qtype=QuestionType.parse(str(record["qtype"])),
-        positives=frozenset(
-            record_string(p, "a positives entry", error, integer=True)
-            for p in record["positives"]
-        ),
-        negatives=frozenset(
-            record_string(p, "a negatives entry", error, integer=True)
-            for p in record["negatives"]
-        ),
+        positives=frozenset(positives),
+        negatives=frozenset(negatives),
     )
 
 

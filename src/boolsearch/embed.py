@@ -34,6 +34,7 @@ REMOTE_WORKERS = 4
 TIMEOUT_S = 30.0
 BACKOFF_S = 0.5
 TOKEN_ENV_VAR = "BOOLSEARCH_EMBED_TOKEN"
+EMBEDDER_KINDS = ("hashed-bow", "remote")
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class EmbedderSpec:
     endpoint: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("hashed-bow", "remote"):
+        if self.kind not in EMBEDDER_KINDS:
             raise EmbeddingError(f"unknown embedder kind {self.kind!r}")
         if self.dim < 8:
             raise EmbeddingError(f"embedder dim must be >= 8, got {self.dim}")

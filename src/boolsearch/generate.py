@@ -31,8 +31,8 @@ from .data import (
     QuestionType,
     atomic_write,
     compute_stats,
-    read_lines,
-    record_string,
+    read_records,
+    record_ids,
 )
 from .embed import EmbedderSpec, embed_texts, normalize_rows, tokenize
 from .errors import ChatError, GenerationError
@@ -41,6 +41,7 @@ from .query import And, Atom, Not, Or, render
 logger = logging.getLogger(__name__)
 
 CANNOT_ANSWER = "Cannot answer"
+GENERATOR_MODES = ("template", "chat")
 
 # cluster_passages holds an n x n float64 distance matrix: 8 n^2 bytes, 3.2 GB at the cap
 MAX_CLUSTER_ROWS = 20_000
@@ -148,7 +149,7 @@ class GeneratorSpec:
     max_concurrent: int = 4
 
     def __post_init__(self):
-        if self.mode not in ("template", "chat"):
+        if self.mode not in GENERATOR_MODES:
             raise GenerationError(f"unknown generator mode {self.mode!r}")
         if self.mode == "chat" and not self.chat_model:
             raise GenerationError("chat mode requires a model name")
@@ -158,6 +159,8 @@ class GeneratorSpec:
             raise GenerationError("n_per_type must be >= 1")
         if self.max_concurrent < 1:
             raise GenerationError("max_concurrent must be >= 1")
+        if self.seed < 0:
+            raise GenerationError(f"seed must be >= 0, got {self.seed}")
 
     def make_client(self) -> ChatClient | None:
         if self.mode != "chat":
@@ -253,6 +256,8 @@ def reduce_dims(
         raise GenerationError(f"rank must be in [1, dim); got rank={rank}, dim={dim}")
     if sample_cap < rank:
         raise GenerationError("sample_cap must be at least the requested rank")
+    if seed < 0:
+        raise GenerationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if n > sample_cap:
         sample = matrix[rng.choice(n, size=sample_cap, replace=False)]
@@ -845,43 +850,22 @@ def save_questions(
 
 
 def load_questions(path: str | Path) -> list[GeneratedQuestion]:
-    questions = []
-    for lineno, line in read_lines(path, GenerationError):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-            questions.append(
-                GeneratedQuestion(
-                    question_id=raw["question_id"],
-                    qtype=QuestionType.parse(raw["qtype"]),
-                    text=raw["text"],
-                    source_cluster=int(raw["source_cluster"]),
-                    candidate_ids=_passage_ids(raw["candidate_ids"], "candidate_ids"),
-                    positives=frozenset(_passage_ids(raw["positives"], "positives")),
-                    negatives=frozenset(_passage_ids(raw["negatives"], "negatives")),
-                    provenance=raw["provenance"],
-                    filtered=bool(raw["filtered"]),
-                    expression=raw.get("expression"),
-                    answer_token_groups=tuple(
-                        tuple(g) for g in raw.get("answer_token_groups", [])
-                    ),
-                )
-            )
-        # OverflowError: a float source_cluster too large for an int;
-        # GenerationError: GeneratedQuestion's own checks
-        except (ValueError, OverflowError, KeyError, TypeError, RecursionError,
-                GenerationError) as exc:
-            raise GenerationError(f"{path}:{lineno}: {exc}") from None
-    return questions
+    return [q for _, q in read_records(path, GenerationError, _question_from_record)]
 
 
-def _passage_ids(raw, name: str) -> tuple[str, ...]:
-    """A JSON list of passage ids, each read as load_corpus reads an id."""
-    if not isinstance(raw, list):
-        raise GenerationError(f"{name} must be a list of passage ids")
-    return tuple(
-        record_string(pid, f"a {name} entry", GenerationError, integer=True) for pid in raw
+def _question_from_record(raw: dict) -> GeneratedQuestion:
+    return GeneratedQuestion(
+        question_id=raw["question_id"],
+        qtype=QuestionType.parse(raw["qtype"]),
+        text=raw["text"],
+        source_cluster=int(raw["source_cluster"]),
+        candidate_ids=record_ids(raw["candidate_ids"], "candidate_ids", GenerationError),
+        positives=frozenset(record_ids(raw["positives"], "positives", GenerationError)),
+        negatives=frozenset(record_ids(raw["negatives"], "negatives", GenerationError)),
+        provenance=raw["provenance"],
+        filtered=bool(raw["filtered"]),
+        expression=raw.get("expression"),
+        answer_token_groups=tuple(tuple(g) for g in raw.get("answer_token_groups", [])),
     )
 
 
@@ -900,7 +884,7 @@ def load_clusters(path: str | Path) -> list[Cluster]:
         return [
             Cluster(
                 cluster_id=raw["cluster_id"],
-                passage_ids=_passage_ids(raw["passage_ids"], "passage_ids"),
+                passage_ids=record_ids(raw["passage_ids"], "passage_ids", GenerationError),
             )
             for raw in payload
         ]

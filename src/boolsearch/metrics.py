@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import AbstractSet, Mapping, Sequence
 
-from .data import Judgment, QuestionType, atomic_write, read_lines, record_string
+from .data import Judgment, QuestionType, atomic_write, read_records, record_string
 from .errors import BoolSearchError, RunFormatError
 from .index import RankedList
 
@@ -80,6 +80,8 @@ def evaluate_run(
     list and flagged in the report. A ranked list longer than k means the
     run was produced at a different cutoff and is rejected.
     """
+    if k < 1:
+        raise BoolSearchError(f"k must be >= 1, got {k}")
     for question_id, ranked in run.items():
         if len(ranked) > k:
             raise RunFormatError(
@@ -192,29 +194,24 @@ def load_run(path: str | Path) -> dict[str, RankedList]:
     ascending id) are enforced on every line.
     """
     run: dict[str, RankedList] = {}
-    for lineno, line in read_lines(path, RunFormatError):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            question_id = record_string(record["question_id"], "question_id", RunFormatError)
-            ranked = RankedList(
-                (record_string(item["doc_id"], "doc_id", RunFormatError, integer=True),
-                 _score(item["score"]))
-                for item in record["items"]
-            )
-        except KeyError as exc:
-            raise RunFormatError(f"{path}:{lineno}: missing field {exc}") from None
-        # OverflowError: an integer score too large for a float
-        except (ValueError, OverflowError, TypeError, RecursionError,
-                BoolSearchError) as exc:
-            raise RunFormatError(f"{path}:{lineno}: {exc}") from None
+    for lineno, (question_id, ranked) in read_records(path, RunFormatError, _run_entry):
         if question_id in run:
             raise RunFormatError(
                 f"{path}:{lineno}: duplicate question id {question_id!r}"
             )
         run[question_id] = ranked
     return run
+
+
+def _run_entry(record: dict) -> tuple[str, RankedList]:
+    return (
+        record_string(record["question_id"], "question_id", RunFormatError),
+        RankedList(
+            (record_string(item["doc_id"], "doc_id", RunFormatError, integer=True),
+             _score(item["score"]))
+            for item in record["items"]
+        ),
+    )
 
 
 def _score(value) -> float:

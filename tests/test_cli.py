@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import os
@@ -221,6 +222,17 @@ class TestEvalCommand:
         )
         assert code == 0
         assert "MRR@10" in out and "41.67" in out
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_named(self, capsys, k):
+        code, out, err = run_cli(
+            capsys, "eval",
+            "--run", str(FIXTURES / "golden_run.jsonl"),
+            "--judgments", str(FIXTURES / "golden_judgments.jsonl"),
+            "--k", k,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: k must be >= 1, got {k}\n"
 
     def test_json_output_parses(self, capsys):
         code, out, err = run_cli(
@@ -513,7 +525,7 @@ class TestFailClosed:
         def broken(args, config):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli._HANDLERS, "stats", broken)
+        monkeypatch.setattr(cli, "_cmd_stats", broken)
         code, out, err = run_cli(capsys, "stats", "--judgments", "j.jsonl")
         assert code == 2
         assert err == "error: unexpected RuntimeError: boom\n"
@@ -526,7 +538,7 @@ class TestFailClosed:
             "import logging, sys; from boolsearch import cli\n"
             f"{prelude}"
             "def broken(args, config): raise RuntimeError('boom')\n"
-            "cli._HANDLERS['stats'] = broken\n"
+            "cli._cmd_stats = broken\n"
             "sys.exit(cli.dispatch(sys.argv[1:]))\n"
         )
         done = run_fresh(script, "--log-level", level, "stats", "--judgments", "j")
@@ -666,4 +678,166 @@ class TestConfigFile:
                         yield from dests(sub)
 
         flags = set(dests(cli.build_parser()))
-        assert {flag for flag, _, _ in cli.CONFIG_KEYS.values()} <= flags
+        assert {flag for flag, *_ in cli.CONFIG_KEYS.values()} <= flags
+
+
+def parsers(parser, path=()):
+    """(subcommand path, parser) of the top-level parser and each subcommand."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from parsers(sub, path + (name,))
+
+
+def options(parser):
+    """The option actions of one parser, --help left out."""
+    return [a for a in parser._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)]
+
+
+def describe(action) -> str:
+    """An option as its spelling, then its dest where the spelling does not
+    give it, then flag, {choices} or the type it is read as."""
+    (spelling,) = action.option_strings
+    words = [spelling]
+    if action.dest != spelling[2:].replace("-", "_"):
+        words.append(f"->{action.dest}")
+    if action.nargs == 0:
+        words.append("flag")
+    elif action.choices is not None:
+        words.append("{" + ",".join(action.choices) + "}")
+    elif action.type not in (None, str):
+        words.append(action.type.__name__)
+    if action.required:
+        words.append("required")
+    return " ".join(words)
+
+
+EMBEDDER_FLAGS = ["--embedder {hashed-bow,remote}", "--dim int", "--endpoint",
+                  "--embed-seed int", "--raw-vectors flag"]
+GENERATOR_FLAGS = ["--mode {template,chat}", "--chat-endpoint", "--chat-model",
+                   "--chat-mode {live,record,replay}", "--cassette", "--max-concurrent int"]
+
+# every option of every subcommand: a dropped, added or misattached flag, or
+# one whose dest, type or choices changed, fails test_flag_table
+FLAG_TABLE = {
+    (): ["--config", "--verbose flag", "--log-level"],
+    ("index",): [],
+    ("index", "build"): ["--corpus required", "--out required", "--sim {dot,cosine}",
+                         *EMBEDDER_FLAGS],
+    ("search",): ["--index required", "--query", "--raw", "--k int",
+                  "--not-mode {hard,soft}", "--depth-factor int", "--normalize-scores flag"],
+    ("eval",): ["--run required", "--judgments required", "--k int", "--format {table,json}"],
+    ("gen",): [],
+    ("gen", "cluster"): ["--corpus required", "--out required", "--clusters int",
+                         "--threshold float", "--svd-rank int", "--sample-cap int",
+                         "--seed int", *EMBEDDER_FLAGS],
+    ("gen", "questions"): ["--corpus required", "--clusters ->clusters_path required",
+                           "--out required", "--seed int", "--per-type int",
+                           *GENERATOR_FLAGS],
+    ("gen", "filter"): ["--corpus required", "--questions required", "--out required",
+                        "--seed int", *GENERATOR_FLAGS],
+    ("gen", "assemble"): ["--corpus required", "--questions required", "--out required",
+                          "--format {table,json}"],
+    ("stats",): ["--judgments required", "--corpus", "--format {table,json}"],
+}
+
+CHOICE_FLAGS = [(path, action.option_strings[0])
+                for path, parser in parsers(cli.build_parser())
+                for action in options(parser) if action.choices is not None]
+
+
+class TestFlagTable:
+    def test_flag_table(self):
+        table = {path: sorted(map(describe, options(parser)))
+                 for path, parser in parsers(cli.build_parser())}
+        assert table == {path: sorted(flags) for path, flags in FLAG_TABLE.items()}
+
+    def test_no_flag_has_a_default(self):
+        # a flag left out is None, so a config-file value or the key's default applies
+        for _, parser in parsers(cli.build_parser()):
+            for action in options(parser):
+                assert action.default is (False if action.dest == "verbose" else None)
+
+    @pytest.mark.parametrize("path, flag", CHOICE_FLAGS,
+                             ids=[" ".join((*p, f)) for p, f in CHOICE_FLAGS])
+    def test_bad_choice_is_usage_error(self, capsys, path, flag):
+        # argparse checks a choice as it reads the value, before any required flag
+        code, out, err = run_cli(capsys, *path, flag, "bogus")
+        assert code == 1 and not out
+        assert f"argument {flag}: invalid choice: 'bogus'" in err
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A planted corpus and the index, clusters and questions made from it."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    paths = {name: str(tmp / name) for name in ("corpus", "index", "clusters", "questions")}
+    save_corpus(planted_corpus(n_clusters=3, per_cluster=4)[0], paths["corpus"])
+    corpus = ["--corpus", paths["corpus"]]
+    for argv in (
+        ["index", "build", *corpus, "--out", paths["index"], "--dim", "64"],
+        ["gen", "cluster", *corpus, "--out", paths["clusters"], "--clusters", "3",
+         "--svd-rank", "8", "--dim", "64"],
+        ["gen", "questions", *corpus, "--clusters", paths["clusters"],
+         "--out", paths["questions"], "--per-type", "2"],
+    ):
+        assert dispatch(argv) == 0
+    return paths
+
+
+def base_argv(path, flag, inputs, out) -> list[str]:
+    """Valid arguments of one subcommand, to which a test adds one flag."""
+    corpus = ["--corpus", inputs["corpus"]]
+    return {
+        ("index", "build"): [*corpus, "--out", out],
+        ("search",): ["--index", inputs["index"], "--query", '"core00a" NOT "sub00p0x"'],
+        ("eval",): ["--run", str(FIXTURES / "golden_run.jsonl"),
+                    "--judgments", str(FIXTURES / "golden_judgments.jsonl")],
+        # --threshold and --clusters are exclusive stop rules
+        ("gen", "cluster"): [*corpus, "--out", out, "--svd-rank", "8", "--dim", "64",
+                             *(["--clusters", "3"] if flag != "--threshold" else [])],
+        ("gen", "questions"): [*corpus, "--clusters", inputs["clusters"], "--out", out,
+                               "--per-type", "2"],
+        ("gen", "filter"): [*corpus, "--questions", inputs["questions"], "--out", out],
+    }[path]
+
+
+# only the stop rule and the seeds take more than 0 and -1: a large value of
+# any other flag would size a thread pool or an allocation
+EDGE_VALUES = {"threshold": ["0", "-1", "nan", "inf"],
+               "seed": ["0", "-1", str(2**80)], "embed_seed": ["0", "-1", str(2**80)]}
+CONFIG_FLAGS = {flag for flag, *_ in cli.CONFIG_KEYS.values()}
+EDGE_CASES = [(path, action.option_strings[0], value)
+              for path, parser in parsers(cli.build_parser())
+              for action in options(parser)
+              if action.dest in CONFIG_FLAGS and action.type in (int, float)
+              for value in EDGE_VALUES.get(action.dest, ["0", "-1"])]
+
+
+class TestEdgeValues:
+    @pytest.mark.parametrize("path, flag, value", EDGE_CASES,
+                             ids=[" ".join((*p, f, v)) for p, f, v in EDGE_CASES])
+    def test_numeric_flag_at_its_edges(self, capsys, tmp_path, inputs, path, flag, value):
+        argv = [*path, *base_argv(path, flag, inputs, str(tmp_path / "out")), flag, value]
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2)
+        assert "error: unexpected" not in err
+
+    @pytest.mark.parametrize("command, seed", [
+        ("cluster", "-1"), ("questions", "-1"), ("filter", "-1"), ("questions", "config"),
+    ])
+    def test_negative_seed_is_refused(self, capsys, tmp_path, inputs, command, seed):
+        path = ("gen", command)
+        argv = [*path, *base_argv(path, "--seed", inputs, str(tmp_path / "out"))]
+        if seed == "config":
+            config = tmp_path / "app.cfg"
+            config.write_text("seed = -3\n")
+            argv, seed = ["--config", str(config), *argv], "-3"
+        else:
+            argv += ["--seed", seed]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: seed must be >= 0, got {seed}\n"
+        assert not (tmp_path / "out").exists()

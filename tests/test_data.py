@@ -398,3 +398,49 @@ class TestNonUtf8Input:
         path.write_bytes("p1\tcaf\u00e9\np2\tcaf".encode() + b"\xc3")
         with pytest.raises(CorpusFormatError, match=f"{path}:2: not UTF-8"):
             load_corpus(path)
+
+
+class TestRecordErrors:
+    """The four JSON Lines loaders share one reader, so a bad line reads the
+    same in each: path:line, then what is wrong with it."""
+
+    LOADERS = {
+        "judgments": (load_judgments, JudgmentFormatError),
+        "run": (load_run, RunFormatError),
+        "questions": (load_questions, GenerationError),
+        "cassette": (_replay_client, ChatError),
+    }
+    MISSING = {
+        "judgments": "record is missing fields "
+                     "['question_id', 'question', 'qtype', 'positives', 'negatives']",
+        "run": "missing field 'question_id'",
+        "questions": "missing field 'question_id'",
+        "cassette": "missing field 'request_hash'",
+    }
+
+    @pytest.mark.parametrize("line, message", [
+        ("{bad", "invalid JSON: Expecting property name enclosed in double quotes: "
+                 "line 1 column 2 (char 1)"),
+        ("[1, 2]", "record must be an object, got list"),
+        ('"text"', "record must be an object, got str"),
+        ("null", "record must be an object, got NoneType"),
+        ("{}", None),
+    ])
+    @pytest.mark.parametrize("name", LOADERS)
+    def test_bad_line(self, tmp_path, name, line, message):
+        load, error = self.LOADERS[name]
+        path = tmp_path / "input.jsonl"
+        write_lines(path, ["", line])
+        with pytest.raises(error) as info:
+            load(path)
+        assert type(info.value) is error
+        assert str(info.value) == f"{path}:2: {message or self.MISSING[name]}"
+
+    def test_question_type_names_path_and_line(self, tmp_path):
+        path = tmp_path / "questions.jsonl"
+        save_questions([_question("q1", "a?")], path)
+        record = json.loads(path.read_text(encoding="utf-8"))
+        write_lines(path, [json.dumps({**record, "qtype": "XOR"})])
+        with pytest.raises(GenerationError) as info:
+            load_questions(path)
+        assert str(info.value).startswith(f"{path}:1: unknown question type 'XOR'")

@@ -106,12 +106,17 @@ LONG_INT = b"1" * 4301
 HUGE_INT = b"1" * 401
 
 
+# a missing field is named as one, not by a bare KeyError text
+BARE_KEY_ERROR = re.compile(r".*:\d+: '[^']*'", re.DOTALL)
+
+
 def only_typed_errors(load, path, blob):
     """load(path) over blob; None if it raised a typed error."""
     path.write_bytes(blob)
     try:
         return load(path)
-    except BoolSearchError:
+    except BoolSearchError as exc:
+        assert not BARE_KEY_ERROR.fullmatch(str(exc))
         return None
 
 
@@ -184,8 +189,7 @@ def test_load_run(tmp_path, blob):
     try:
         load_run(path)
     except BoolSearchError as exc:
-        # a missing field is named as one, not by a bare KeyError text
-        assert not re.fullmatch(r".*:\d+: '[^']*'", str(exc), re.DOTALL)
+        assert not BARE_KEY_ERROR.fullmatch(str(exc))
         return
     items = [item for line in text_lines(blob) for item in json.loads(line)["items"]]
     assert all(is_id(item["doc_id"]) and type(item["score"]) in (int, float)
@@ -201,12 +205,11 @@ def test_load_run(tmp_path, blob):
     "candidate_ids": ["a"], "positives": ["a"], "negatives": [],
     "provenance": "template", "filtered": True,
 }).encode("utf-8"))
+@example(blob=b'{"question_id": "q"}')
+@example(blob=b"[]")
 def test_load_questions(tmp_path, blob):
-    path = tmp_path / "questions.jsonl"
-    path.write_bytes(blob)
-    try:
-        questions = load_questions(path)
-    except BoolSearchError:
+    questions = only_typed_errors(load_questions, tmp_path / "questions.jsonl", blob)
+    if questions is None:
         return
     # the text is lowercased and tokenized downstream: always a string
     assert all(isinstance(q.text, str) and isinstance(q.question_id, str) for q in questions)
