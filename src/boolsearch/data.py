@@ -4,7 +4,8 @@ Corpus files are JSON Lines ({"id": ..., "text": ...}) or two-column
 tab-separated records; judgment files are JSON Lines with question_id,
 question, qtype, positives, negatives. All types are immutable after
 construction and safe to share across threads. Every save_* function of
-the package writes through atomic_write.
+the package writes through atomic_write, and every JSON Lines file but the
+chat cassette through write_records.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import os
 import secrets
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -289,7 +290,20 @@ def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
         raise
 
 
-_JUDGMENT_FIELDS = ("question_id", "question", "qtype", "positives", "negatives")
+def to_record(item) -> dict:
+    """The JSON object of a record dataclass: its fields in declaration
+    order, a frozenset as a sorted list. json.dumps writes a tuple as an
+    array and a str enum such as QuestionType as its value."""
+    return {name: sorted(value) if isinstance(value, frozenset) else value
+            for name, value in vars(item).items()}
+
+
+def write_records(path: str | Path, records: Iterable[Mapping]) -> None:
+    """Write a JSON Lines file, one record per line, through atomic_write."""
+    with atomic_write(path) as f:
+        for record in records:
+            f.write(json.dumps(record, ensure_ascii=False))
+            f.write("\n")
 
 
 def load_judgments(path: str | Path, corpus: Corpus | None = None) -> list[Judgment]:
@@ -314,7 +328,7 @@ def load_judgments(path: str | Path, corpus: Corpus | None = None) -> list[Judgm
 
 
 def judgment_from_record(record: Mapping) -> Judgment:
-    missing = [k for k in _JUDGMENT_FIELDS if k not in record]
+    missing = [f.name for f in fields(Judgment) if f.name not in record]
     if missing:
         raise JudgmentFormatError(f"record is missing fields {missing}")
     error = JudgmentFormatError
@@ -330,20 +344,11 @@ def judgment_from_record(record: Mapping) -> Judgment:
 
 
 def judgment_to_record(judgment: Judgment) -> dict:
-    return {
-        "question_id": judgment.question_id,
-        "question": judgment.question,
-        "qtype": judgment.qtype.value,
-        "positives": sorted(judgment.positives),
-        "negatives": sorted(judgment.negatives),
-    }
+    return to_record(judgment)
 
 
 def save_judgments(judgments: Sequence[Judgment], path: str | Path) -> None:
-    with atomic_write(path) as f:
-        for judgment in judgments:
-            f.write(json.dumps(judgment_to_record(judgment), ensure_ascii=False))
-            f.write("\n")
+    write_records(path, map(to_record, judgments))
 
 
 def compute_stats(judgments: Sequence[Judgment]) -> DatasetStats:

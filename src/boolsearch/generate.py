@@ -33,6 +33,8 @@ from .data import (
     compute_stats,
     read_records,
     record_ids,
+    to_record,
+    write_records,
 )
 from .embed import EmbedderSpec, embed_texts, normalize_rows, tokenize
 from .errors import ChatError, GenerationError
@@ -47,16 +49,18 @@ GENERATOR_MODES = ("template", "chat")
 MAX_CLUSTER_ROWS = 20_000
 
 
+def _check_cluster_id(value, name: str) -> None:
+    if type(value) is not int or value < 0:  # a bool is not an id
+        raise GenerationError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Cluster:
     cluster_id: int
     passage_ids: tuple[str, ...]
 
     def __post_init__(self):
-        if type(self.cluster_id) is not int or self.cluster_id < 0:
-            raise GenerationError(
-                f"cluster id must be a non-negative integer, got {self.cluster_id!r}"
-            )
+        _check_cluster_id(self.cluster_id, "cluster id")
         if not self.passage_ids:
             raise GenerationError(f"cluster {self.cluster_id} is empty")
         if len(set(self.passage_ids)) != len(self.passage_ids):
@@ -202,6 +206,11 @@ class GeneratedQuestion:
             raise GenerationError("question_id and text must be strings")
         if not (self.expression is None or isinstance(self.expression, str)):
             raise GenerationError("expression must be a string or null")
+        _check_cluster_id(self.source_cluster, "source_cluster")
+        if type(self.filtered) is not bool:
+            raise GenerationError(
+                f"filtered must be a boolean, got {type(self.filtered).__name__}"
+            )
         if not self.question_id:
             raise GenerationError("question_id must be non-empty")
         if self.provenance not in ("template", "chat-model"):
@@ -426,7 +435,7 @@ def cluster_corpus(
     _check_cluster_rows(len(corpus))  # fail before the embedding and SVD work
     matrix = embed_texts(embedder, list(corpus.texts))
     rank = min(svd_rank, matrix.shape[1] - 1)
-    reduced = reduce_dims(matrix, rank=rank, sample_cap=max(sample_cap, rank), seed=seed)
+    reduced = reduce_dims(matrix, rank=rank, sample_cap=sample_cap, seed=seed)
     return cluster_passages(
         reduced,
         corpus.ids,
@@ -827,26 +836,8 @@ def assemble_dataset(
 # Question file I/O (JSONL), used to hand results between pipeline stages
 
 
-def save_questions(
-    questions: Sequence[GeneratedQuestion], path: str | Path
-) -> None:
-    with atomic_write(path) as f:
-        for q in questions:
-            record = {
-                "question_id": q.question_id,
-                "qtype": q.qtype.value,
-                "text": q.text,
-                "source_cluster": q.source_cluster,
-                "candidate_ids": list(q.candidate_ids),
-                "positives": sorted(q.positives),
-                "negatives": sorted(q.negatives),
-                "provenance": q.provenance,
-                "filtered": q.filtered,
-                "expression": q.expression,
-                "answer_token_groups": [list(g) for g in q.answer_token_groups],
-            }
-            f.write(json.dumps(record, ensure_ascii=False))
-            f.write("\n")
+def save_questions(questions: Sequence[GeneratedQuestion], path: str | Path) -> None:
+    write_records(path, map(to_record, questions))
 
 
 def load_questions(path: str | Path) -> list[GeneratedQuestion]:
@@ -858,24 +849,29 @@ def _question_from_record(raw: dict) -> GeneratedQuestion:
         question_id=raw["question_id"],
         qtype=QuestionType.parse(raw["qtype"]),
         text=raw["text"],
-        source_cluster=int(raw["source_cluster"]),
+        source_cluster=raw["source_cluster"],
         candidate_ids=record_ids(raw["candidate_ids"], "candidate_ids", GenerationError),
         positives=frozenset(record_ids(raw["positives"], "positives", GenerationError)),
         negatives=frozenset(record_ids(raw["negatives"], "negatives", GenerationError)),
         provenance=raw["provenance"],
-        filtered=bool(raw["filtered"]),
+        filtered=raw["filtered"],
         expression=raw.get("expression"),
-        answer_token_groups=tuple(tuple(g) for g in raw.get("answer_token_groups", [])),
+        answer_token_groups=_token_groups(raw.get("answer_token_groups", [])),
     )
 
 
+def _token_groups(value) -> tuple[tuple[str, ...], ...]:
+    if not (isinstance(value, list) and all(
+        isinstance(group, list) and all(isinstance(token, str) for token in group)
+        for group in value
+    )):
+        raise GenerationError("answer_token_groups must be a list of lists of strings")
+    return tuple(map(tuple, value))
+
+
 def save_clusters(clusters: Sequence[Cluster], path: str | Path) -> None:
-    payload = [
-        {"cluster_id": c.cluster_id, "passage_ids": list(c.passage_ids)}
-        for c in clusters
-    ]
     with atomic_write(path) as f:
-        f.write(json.dumps(payload, indent=2))
+        f.write(json.dumps(list(map(to_record, clusters)), indent=2))
 
 
 def load_clusters(path: str | Path) -> list[Cluster]:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import AbstractSet, Mapping, Sequence
 
-from .data import Judgment, QuestionType, atomic_write, read_records, record_string
+from .data import Judgment, QuestionType, read_records, record_string, write_records
 from .errors import BoolSearchError, RunFormatError
 from .index import RankedList
 
@@ -174,17 +174,12 @@ def _report_payload(report: EvalReport) -> dict:
 
 
 def save_run(run: RunResult, path: str | Path) -> None:
-    with atomic_write(path) as f:
-        for question_id in run:
-            record = {
-                "question_id": question_id,
-                "items": [
-                    {"doc_id": item.doc_id, "score": item.score}
-                    for item in run[question_id]
-                ],
-            }
-            f.write(json.dumps(record, ensure_ascii=False))
-            f.write("\n")
+    write_records(path, (
+        {"question_id": question_id,
+         "items": [{"doc_id": doc_id, "score": score}
+                   for doc_id, score in zip(ranked.ids, ranked.scores)]}
+        for question_id, ranked in run.items()
+    ))
 
 
 def load_run(path: str | Path) -> dict[str, RankedList]:
@@ -204,14 +199,18 @@ def load_run(path: str | Path) -> dict[str, RankedList]:
 
 
 def _run_entry(record: dict) -> tuple[str, RankedList]:
-    return (
-        record_string(record["question_id"], "question_id", RunFormatError),
-        RankedList(
-            (record_string(item["doc_id"], "doc_id", RunFormatError, integer=True),
-             _score(item["score"]))
-            for item in record["items"]
-        ),
-    )
+    question_id = record_string(record["question_id"], "question_id", RunFormatError)
+    items = record["items"]
+    if not isinstance(items, list):
+        raise RunFormatError(f"items must be a list, got {type(items).__name__}")
+    return question_id, RankedList(map(_run_item, range(len(items)), items))
+
+
+def _run_item(position: int, item) -> tuple[str, float]:
+    if not isinstance(item, dict):
+        raise RunFormatError(f"items[{position}] must be an object, got {type(item).__name__}")
+    return (record_string(item["doc_id"], "doc_id", RunFormatError, integer=True),
+            _score(item["score"]))
 
 
 def _score(value) -> float:

@@ -14,10 +14,10 @@ NOT and AND binding tighter than OR, same precedence associating left:
     term   := factor ((AND | NOT) factor)*
     factor := '"' text '"' | '(' expr ')'
 
-Operators nest at most MAX_EXPR_DEPTH deep, and so do parentheses: render,
-atoms and evaluation recurse once per operator, and the parser three
-times per parenthesis, so the bound keeps every walk far inside the
-interpreter's recursion limit.
+Operators nest at most MAX_EXPR_DEPTH deep, and so do parentheses: render
+and evaluation recurse once per operator, and the parser three times per
+parenthesis, so the bound keeps every walk far inside the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -265,13 +265,6 @@ def render(expr: BooleanExpr) -> str:
     if _precedence(expr.right) <= level:
         right = f"({right})"
     return f"{left} {op} {right}"
-
-
-def atoms(expr: BooleanExpr) -> list[str]:
-    """Atom texts in left-to-right order."""
-    if isinstance(expr, Atom):
-        return [expr.text]
-    return atoms(expr.left) + atoms(expr.right)
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,13 @@ def random_expression(rng: np.random.Generator, max_depth: int = 5):
     )
 
 
+def atoms(expr) -> list[str]:
+    """Atom texts in left-to-right order."""
+    if isinstance(expr, Atom):
+        return [expr.text]
+    return atoms(expr.left) + atoms(expr.right)
+
+
 def marco_replica_judgments():
     """Synthetic judgment set whose per-type marginals land on the
     published MARCO-split statistics within ±0.005.

@@ -274,6 +274,21 @@ class TestEvalCommand:
         )
         assert (code, out, err) == (2, "", f"error: {run}:1: {message}\n")
 
+    @pytest.mark.parametrize("items, message", [
+        ([[1, 2]], "items[0] must be an object, got list"),
+        (5, "items must be a list, got int"),
+        ("ab", "items must be a list, got str"),
+        ([{"doc_id": "p1", "score": 1.0}, None], "items[1] must be an object, got NoneType"),
+    ])
+    def test_run_items_not_objects_is_runtime_error(self, capsys, tmp_path, items, message):
+        run = tmp_path / "run.jsonl"
+        run.write_text(json.dumps({"question_id": "q1", "items": items}) + "\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--run", str(run),
+            "--judgments", str(FIXTURES / "golden_judgments.jsonl"),
+        )
+        assert (code, out, err) == (2, "", f"error: {run}:1: {message}\n")
+
     def test_judgment_field_of_wrong_type_is_runtime_error(self, capsys, tmp_path):
         judgments = tmp_path / "judgments.jsonl"
         judgments.write_text(json.dumps({
@@ -379,25 +394,37 @@ class TestGenCommands:
         assert err == "error: unknown stats format 'xml'\n"
         assert not dataset.exists()
 
-    def test_assemble_question_text_not_a_string_is_typed(self, capsys, tmp_path,
-                                                          corpus_file):
+    @pytest.mark.parametrize("field, value, message", [
+        ("text", 5, "question_id and text must be strings"),
+        # read as a truth value, "false" would keep a question the filter rejected
+        ("filtered", "false", "filtered must be a boolean, got str"),
+        ("filtered", 0.0, "filtered must be a boolean, got float"),
+        ("source_cluster", 3.7, "source_cluster must be a non-negative integer, got 3.7"),
+        ("source_cluster", True, "source_cluster must be a non-negative integer, got True"),
+        ("source_cluster", "2", "source_cluster must be a non-negative integer, got '2'"),
+        ("source_cluster", -1, "source_cluster must be a non-negative integer, got -1"),
+        ("answer_token_groups", ["abc"], "answer_token_groups must be a list of lists of strings"),
+        ("answer_token_groups", "ab", "answer_token_groups must be a list of lists of strings"),
+        ("answer_token_groups", [[1, 2]],
+         "answer_token_groups must be a list of lists of strings"),
+    ])
+    def test_assemble_question_field_of_wrong_type_is_typed(
+        self, capsys, tmp_path, corpus_file, field, value, message
+    ):
         corpus, _ = planted_corpus(n_clusters=3, per_cluster=4)
         clusters = [generate.Cluster(0, corpus.ids[:4])]
         spec = generate.GeneratorSpec(seed=1, n_per_type=2)
         questions = tmp_path / "filtered.jsonl"
         generate.save_questions(generate.generate_questions(corpus, clusters, spec), questions)
         lines = questions.read_text().splitlines()
-        record = json.loads(lines[1])
-        record.update(text=5, filtered=True)
-        lines[1] = json.dumps(record)
+        lines[1] = json.dumps({**json.loads(lines[1]), field: value})
         questions.write_text("\n".join(lines) + "\n")
         dataset = tmp_path / "judgments.jsonl"
         code, out, err = run_cli(
             capsys, "gen", "assemble", "--corpus", str(corpus_file),
             "--questions", str(questions), "--out", str(dataset),
         )
-        assert code == 2 and not out
-        assert err == f"error: {questions}:2: question_id and text must be strings\n"
+        assert (code, out, err) == (2, "", f"error: {questions}:2: {message}\n")
         assert not dataset.exists()
 
     def test_cluster_above_row_cap_is_runtime_error(
@@ -841,3 +868,15 @@ class TestEdgeValues:
         assert code == 2 and out == ""
         assert err == f"error: seed must be >= 0, got {seed}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_sample_cap_below_the_rank_is_refused(self, capsys, tmp_path, inputs, cap):
+        # reduce_dims refuses the cap itself: nothing raises it to the rank
+        path = ("gen", "cluster")
+        out_path = tmp_path / "out"
+        argv = [*path, *base_argv(path, "--sample-cap", inputs, str(out_path)),
+                "--sample-cap", cap]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: sample_cap must be at least the requested rank\n"
+        assert not out_path.exists()

@@ -28,6 +28,7 @@ from boolsearch.errors import (
 from boolsearch.generate import (
     Cluster,
     GeneratedQuestion,
+    load_clusters,
     load_questions,
     save_clusters,
     save_questions,
@@ -275,6 +276,79 @@ class TestLoaderFieldTypes:
         run = load_run(path)
         assert run == {"q1": RankedList([ScoredDoc("7", 2.0), ScoredDoc("p1", 0.5)])}
         assert [type(score) for score in run["q1"].scores] == [float, float]
+
+    def test_question_without_token_groups(self, tmp_path):
+        path = tmp_path / "input.jsonl"
+        write_lines(path, [json.dumps({
+            "question_id": "q1", "qtype": "AND", "text": "a?", "source_cluster": 0,
+            "candidate_ids": ["p1"], "positives": ["p1"], "negatives": [],
+            "provenance": "chat-model", "filtered": False,
+        })])
+        (question,) = load_questions(path)
+        assert question.answer_token_groups == ()
+        assert (question.source_cluster, question.filtered) == (0, False)
+
+
+class TestWriterBytes:
+    """Every record writer's exact bytes on one fixture: non-ASCII text,
+    integer-like ids, a null expression, empty negatives, a chat question
+    with no token groups, and the scores -0.0, 1e-300 and 2.5."""
+
+    JUDGMENTS = [
+        Judgment("q-ü", "was ist ü? 日本", QuestionType.NOT,
+                 frozenset({"7", "p2"}), frozenset({"10"})),
+        Judgment("42", "is a?", QuestionType.SIMPLE, frozenset({"p2"})),
+    ]
+    QUESTIONS = [
+        GeneratedQuestion("q-ü", QuestionType.NOT, "was ist ü? 日本", 3, ("7", "p2", "10"),
+                          frozenset({"7", "p2"}), frozenset({"10"}),
+                          expression='"ü 7" NOT "10"',
+                          answer_token_groups=(("ü", "7"), ("p2",))),
+        GeneratedQuestion("42", QuestionType.SIMPLE, "is a?", 0, ("p2",),
+                          frozenset({"p2"}), frozenset(), provenance="chat-model",
+                          filtered=True),
+    ]
+    CLUSTERS = [Cluster(0, ("7", "p2")), Cluster(3, ("10", "é"))]
+    RUN = {"q-ü": RankedList([("10", 2.5), ("7", 1e-300), ("é", -0.0)]),
+           "42": RankedList(())}
+
+    FILES = {
+        "judgments": (
+            save_judgments, load_judgments, JUDGMENTS,
+            '{"question_id": "q-ü", "question": "was ist ü? 日本", "qtype": "NOT", '
+            '"positives": ["7", "p2"], "negatives": ["10"]}\n'
+            '{"question_id": "42", "question": "is a?", "qtype": "SIMPLE", '
+            '"positives": ["p2"], "negatives": []}\n'),
+        "questions": (
+            save_questions, load_questions, QUESTIONS,
+            '{"question_id": "q-ü", "qtype": "NOT", "text": "was ist ü? 日本", '
+            '"source_cluster": 3, "candidate_ids": ["7", "p2", "10"], '
+            '"positives": ["7", "p2"], "negatives": ["10"], "provenance": "template", '
+            '"filtered": false, "expression": "\\"ü 7\\" NOT \\"10\\"", '
+            '"answer_token_groups": [["ü", "7"], ["p2"]]}\n'
+            '{"question_id": "42", "qtype": "SIMPLE", "text": "is a?", "source_cluster": 0, '
+            '"candidate_ids": ["p2"], "positives": ["p2"], "negatives": [], '
+            '"provenance": "chat-model", "filtered": true, "expression": null, '
+            '"answer_token_groups": []}\n'),
+        "clusters": (
+            save_clusters, load_clusters, CLUSTERS,
+            '[\n  {\n    "cluster_id": 0,\n    "passage_ids": [\n      "7",\n      "p2"\n'
+            '    ]\n  },\n  {\n    "cluster_id": 3,\n    "passage_ids": [\n      "10",\n'
+            '      "\\u00e9"\n    ]\n  }\n]'),
+        "run": (
+            save_run, load_run, RUN,
+            '{"question_id": "q-ü", "items": [{"doc_id": "10", "score": 2.5}, '
+            '{"doc_id": "7", "score": 1e-300}, {"doc_id": "é", "score": -0.0}]}\n'
+            '{"question_id": "42", "items": []}\n'),
+    }
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_exact_bytes_and_round_trip(self, tmp_path, name):
+        save, load, value, text = self.FILES[name]
+        path = tmp_path / name
+        save(value, path)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert load(path) == value
 
 
 class TestComputeStats:

@@ -205,6 +205,11 @@ def test_load_run(tmp_path, blob):
     "candidate_ids": ["a"], "positives": ["a"], "negatives": [],
     "provenance": "template", "filtered": True,
 }).encode("utf-8"))
+@example(blob=json.dumps({
+    "question_id": "q", "qtype": "SIMPLE", "text": "t", "source_cluster": 0,
+    "candidate_ids": ["a"], "positives": ["a"], "negatives": [],
+    "provenance": "template", "filtered": False, "answer_token_groups": [[1, 2]],
+}).encode("utf-8"))
 @example(blob=b'{"question_id": "q"}')
 @example(blob=b"[]")
 def test_load_questions(tmp_path, blob):
@@ -216,6 +221,11 @@ def test_load_questions(tmp_path, blob):
     # passage ids are looked up in a corpus, whose ids are strings
     assert all(type(pid) is str for q in questions
                for pid in (*q.candidate_ids, *q.positives, *q.negatives))
+    # no JSON value is cast: a flag is a boolean, a cluster an integer, a
+    # token group a tuple of strings
+    assert all(type(q.filtered) is bool and type(q.source_cluster) is int for q in questions)
+    assert all(type(group) is tuple and all(type(token) is str for token in group)
+               for q in questions for group in q.answer_token_groups)
 
 
 @FUZZ

@@ -28,13 +28,13 @@ from boolsearch.query import (
     parse_boolean_query,
     render,
     _min_max_normalize,
-    atoms,
     retrieve_atom,
     whole_query_retrieve,
 )
 
 from _planted import (
     OracleRankedList,
+    atoms,
     oracle_evaluate_full_depth,
     oracle_merge_and,
     oracle_merge_not,
