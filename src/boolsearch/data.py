@@ -43,6 +43,13 @@ class QuestionType(str, Enum):
             ) from None
 
 
+def _check_passage(passage_id: str, text: str) -> None:
+    if not passage_id:
+        raise CorpusFormatError("passage id must be non-empty")
+    if not text:
+        raise CorpusFormatError(f"passage {passage_id!r} has empty text")
+
+
 @dataclass(frozen=True)
 class Passage:
     """One searchable text unit with a corpus-unique id."""
@@ -51,42 +58,58 @@ class Passage:
     text: str
 
     def __post_init__(self):
-        if not self.id:
-            raise CorpusFormatError("passage id must be non-empty")
-        if not self.text:
-            raise CorpusFormatError(f"passage {self.id!r} has empty text")
+        _check_passage(self.id, self.text)
 
 
 class Corpus:
-    """Ordered, id-unique collection of passages."""
+    """Ordered, id-unique collection of passages, held as two columns: the
+    ids and the texts. A Passage is built only when one is asked for."""
+
+    __slots__ = ("_ids", "_texts", "_position")
 
     def __init__(self, passages: Iterable[Passage]):
-        self._passages = tuple(passages)
-        self._by_id: dict[str, Passage] = {}
-        for p in self._passages:
-            if p.id in self._by_id:
-                raise CorpusFormatError(f"duplicate passage id {p.id!r}")
-            self._by_id[p.id] = p
+        passages = tuple(passages)
+        self._set_columns(tuple(p.id for p in passages), tuple(p.text for p in passages))
+
+    @classmethod
+    def _from_columns(cls, ids: tuple[str, ...], texts: tuple[str, ...]) -> "Corpus":
+        """A corpus of columns whose passages _check_passage accepted."""
+        corpus = cls.__new__(cls)
+        corpus._set_columns(ids, texts)
+        return corpus
+
+    def _set_columns(self, ids: tuple[str, ...], texts: tuple[str, ...]) -> None:
+        self._ids, self._texts = ids, texts
+        self._position = dict(zip(ids, range(len(ids))))
+        if len(self._position) != len(ids):
+            raise CorpusFormatError(f"duplicate passage id {ids[_repeat_at(ids)]!r}")
 
     def __len__(self) -> int:
-        return len(self._passages)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[Passage]:
-        return iter(self._passages)
+        return map(Passage, self._ids, self._texts)
 
     def __contains__(self, passage_id: str) -> bool:
-        return passage_id in self._by_id
+        return passage_id in self._position
 
     def __getitem__(self, passage_id: str) -> Passage:
-        return self._by_id[passage_id]
+        i = self._position[passage_id]
+        return Passage(self._ids[i], self._texts[i])
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self._passages)
+        return self._ids
 
     @property
     def texts(self) -> tuple[str, ...]:
-        return tuple(p.text for p in self._passages)
+        return self._texts
+
+
+def _repeat_at(ids: Sequence[str]) -> int:
+    """The position of the first id that an earlier one repeats."""
+    seen: set[str] = set()
+    return next(i for i, pid in enumerate(ids) if pid in seen or seen.add(pid))
 
 
 @dataclass(frozen=True)
@@ -209,22 +232,23 @@ def load_corpus(path: str | Path) -> Corpus:
     Blank lines are skipped. Raises CorpusFormatError with the 1-based
     line number on malformed records and on duplicate ids.
     """
-    passages, linenos = [], []
+    ids, texts, linenos = [], [], []
     for lineno, line in read_lines(path, CorpusFormatError):
         line = line.rstrip("\n")
         if not line.strip():
             continue
         try:
-            passages.append(_parse_corpus_line(line))
+            passage_id, text = _parse_corpus_line(line)
+            _check_passage(passage_id, text)
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
+        ids.append(passage_id)
+        texts.append(text)
         linenos.append(lineno)
     try:
-        return Corpus(passages)  # the one check of the ids
+        return Corpus._from_columns(tuple(ids), tuple(texts))  # the one check of the ids
     except CorpusFormatError as exc:  # a duplicate id: name its second line
-        first: dict[str, int] = {}
-        at = next(i for i, p in enumerate(passages) if first.setdefault(p.id, i) != i)
-        raise CorpusFormatError(f"{path}:{linenos[at]}: {exc}") from None
+        raise CorpusFormatError(f"{path}:{linenos[_repeat_at(ids)]}: {exc}") from None
 
 
 def record_string(
@@ -248,27 +272,43 @@ def record_ids(value, name: str, error: type[BoolSearchError]) -> tuple[str, ...
     return tuple(record_string(pid, f"a {name} entry", error, integer=True) for pid in value)
 
 
-def _parse_corpus_line(line: str) -> Passage:
+def _parse_corpus_line(line: str) -> tuple[str, str]:
+    """The id and text of one corpus line, not yet checked non-empty."""
     if line.lstrip().startswith("{"):
         try:
-            record = json.loads(line)
+            record = _json_line(line)
         # ValueError covers JSONDecodeError and integers too long to read;
         # RecursionError, JSON nested too deeply
         except (ValueError, RecursionError) as exc:
             raise CorpusFormatError(f"invalid JSON: {exc}") from None
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise CorpusFormatError('JSON record must have "id" and "text"')
-        return Passage(
-            id=record_string(record["id"], "id", CorpusFormatError, integer=True),
-            text=record_string(record["text"], "text", CorpusFormatError),
-        )
+        return (record_string(record["id"], "id", CorpusFormatError, integer=True),
+                record_string(record["text"], "text", CorpusFormatError))
     columns = line.split("\t")
     if len(columns) != 2:
         raise CorpusFormatError(
             f"expected JSON object or 2 tab-separated columns, got "
             f"{len(columns)} column(s)"
         )
-    return Passage(id=columns[0], text=columns[1])
+    return columns[0], columns[1]
+
+
+_JSON_SPACE = " \t\n\r"  # the whitespace JSON allows around a value
+_DECODER = json.JSONDecoder()
+
+
+def _json_line(line: str):
+    """json.loads(line) in one raw_decode call: the value after any leading
+    JSON whitespace, with only JSON whitespace after it. A line it cannot
+    read goes to json.loads, which raises its own message."""
+    try:
+        value, end = _DECODER.raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+        if end == len(line) or not line[end:].strip(_JSON_SPACE):
+            return value
+    except (ValueError, RecursionError):
+        pass
+    return json.loads(line)
 
 
 @contextmanager

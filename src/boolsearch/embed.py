@@ -3,6 +3,9 @@
 The hashed bag-of-words embedder is the corpus-free reference model: it is
 reproducible across processes (keyed blake2b, no Python hash randomization)
 and token overlap between texts maps directly to dot-product similarity.
+A batch of texts is tokenized in one pass over their joined bytes, and its
+tokens are coded through a table that hashes each distinct token once per
+call; one query text takes the per-text path, tokenize and embed_text.
 The remote client speaks a minimal POST /embed protocol for real encoders.
 """
 
@@ -15,7 +18,6 @@ import reprlib
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -52,6 +54,8 @@ class EmbedderSpec:
             raise EmbeddingError(f"unknown embedder kind {self.kind!r}")
         if self.dim < 8:
             raise EmbeddingError(f"embedder dim must be >= 8, got {self.dim}")
+        if not 0 <= self.seed < 2**64:  # the 8-byte key of the token hash
+            raise EmbeddingError(f"embedder seed must be in [0, 2**64), got {self.seed}")
         if (self.kind == "remote") != bool(self.endpoint):
             raise EmbeddingError("endpoint must be set iff kind is 'remote'")
 
@@ -106,32 +110,72 @@ def embed_text(spec: EmbedderSpec, text: str) -> np.ndarray:
 
 def _keyed_hash(seed: int):
     """The keyed blake2b that every token digest of one seed copies."""
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    return hashlib.blake2b(digest_size=8, key=key)
+    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
 
 
-def _hashed_bow_rows(
-    texts: list[str], dim: int, seed: int, codes: dict[str, int]
-) -> np.ndarray:
-    """hashed_bow_embed of every text, one row each.
+class _Codes(dict):
+    """The token table of one embed_texts or embed_chunks call: token bytes
+    to signed code, bucket << 1 | top bit. A token is hashed the first time
+    it is looked up, so once however many of the call's chunks it recurs in."""
 
-    codes is the token table of one embed_texts or embed_chunks call: it
-    maps each token hashed so far to its signed code, bucket << 1 | top
-    bit, and gains the tokens of texts it lacks, so a token is hashed once
-    however many of the call's chunks it recurs in. The ±1.0 signs sum to
-    small integers, exact in any order, so one bincount adds up many texts.
-    """
-    keyed = _keyed_hash(seed)
-    n = len(texts)
-    token_lists = [tokenize(text) for text in texts]
-    for token in set(chain.from_iterable(token_lists)).difference(codes):
-        h = keyed.copy()
-        h.update(token.encode())  # tokens are ASCII
+    __slots__ = ("dim", "keyed")
+
+    def __init__(self, spec: EmbedderSpec):
+        super().__init__()
+        self.dim = spec.dim
+        self.keyed = _keyed_hash(spec.seed)
+
+    def __missing__(self, token: bytes) -> int:
+        h = self.keyed.copy()
+        h.update(token)
         (value,) = _U64.unpack(h.digest())
-        codes[token] = value % dim << 1 | value >> 63
-    lengths = list(map(len, token_lists))
-    tokens = chain.from_iterable(token_lists)
-    flat = np.fromiter(map(codes.__getitem__, tokens), np.intp, sum(lengths))
+        code = self[token] = value % self.dim << 1 | value >> 63
+        return code
+
+
+def _tokenize_chunk(texts: list[str]) -> tuple[list[bytes], np.ndarray]:
+    """tokenize of every text in one pass: the tokens of all texts in
+    order, as bytes, and how many of them each text has.
+
+    The texts are joined by spaces, then lowercased, encoded, translated
+    and split once. Lowering the joined text lowers each text as alone:
+    only a capital sigma's lowering depends on its neighbours, and both of
+    its forms encode as "?". The encoding writes one byte per code point,
+    lone surrogates included, so a text's tokens are those that start in
+    its span of the bytes, as long as the lowercased text ("İ" lowers to
+    two code points; an ASCII text keeps its length). No list of lowered
+    copies is kept, and the byte masks are gone before the split.
+    """
+    lengths = np.fromiter(
+        (len(text) if text.isascii() else len(text.lower()) for text in texts),
+        np.intp, len(texts),
+    )
+    data = " ".join(texts).lower().encode("ascii", "replace").translate(TOKEN_TABLE)
+    counts = _token_counts(data, lengths)
+    return data.split(), counts
+
+
+def _token_counts(data: bytes, lengths: np.ndarray) -> np.ndarray:
+    """How many tokens start in each span of data, spans of the given
+    lengths one space apart."""
+    letters = np.frombuffer(data, np.uint8) != 32
+    # a token starts at a letter or digit after a space or at the first byte
+    starts = np.flatnonzero(letters & np.diff(letters, prepend=False))
+    # a span ends at the space after it, or at the end of the bytes
+    ends = np.cumsum(lengths + 1) - 1
+    return np.diff(np.searchsorted(starts, ends), prepend=0)
+
+
+def _hashed_bow_rows(texts: list[str], codes: _Codes) -> np.ndarray:
+    """hashed_bow_embed of every text, one row each, from one
+    _tokenize_chunk pass. The ±1.0 signs sum to small integers, exact in
+    any order, so one bincount adds up many texts.
+    """
+    dim = codes.dim
+    n = len(texts)
+    tokens, lengths = _tokenize_chunk(texts)
+    flat = np.fromiter(map(codes.__getitem__, tokens), np.intp, len(tokens))
+    del tokens  # before the bincount's arrays are made
     weights = (flat & 1) * 2.0 - 1.0
     flat >>= 1
     flat += np.repeat(np.arange(0, n * dim, dim), lengths)
@@ -148,7 +192,7 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
 
 def embed_texts(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:
     """Embed texts in order: one float64 (len(texts), spec.dim) array."""
-    return _embed(spec, texts, {})
+    return _embed(spec, texts, _Codes(spec))
 
 
 def embed_chunks(spec: EmbedderSpec, texts: list[str], size: int) -> Iterator[np.ndarray]:
@@ -157,16 +201,16 @@ def embed_chunks(spec: EmbedderSpec, texts: list[str], size: int) -> Iterator[np
     The hashed embedder keeps one token table for every chunk of the
     call; the remote one sends a chunk's batches when the chunk is reached.
     """
-    codes: dict[str, int] = {}
+    codes = _Codes(spec)
     for start in range(0, len(texts), size):
         yield _embed(spec, texts[start : start + size], codes)
 
 
-def _embed(spec: EmbedderSpec, texts: list[str], codes: dict[str, int]) -> np.ndarray:
+def _embed(spec: EmbedderSpec, texts: list[str], codes: _Codes) -> np.ndarray:
     """The spec's rows of texts, normalized if it says so; codes is the
     call's token table."""
     if spec.kind == "hashed-bow":
-        rows = _hashed_bow_rows(texts, spec.dim, spec.seed, codes)
+        rows = _hashed_bow_rows(texts, codes)
     else:
         rows = _remote_embed(spec, texts)
     if spec.normalize:

@@ -215,6 +215,10 @@ class GeneratedQuestion:
             raise GenerationError("question_id must be non-empty")
         if self.provenance not in ("template", "chat-model"):
             raise GenerationError(f"unknown provenance {self.provenance!r}")
+        if not all(self.answer_token_groups):  # a group every passage satisfies
+            raise GenerationError(
+                f"question {self.question_id!r} has an empty answer token group"
+            )
         if self.positives & self.negatives:
             raise GenerationError(
                 f"question {self.question_id!r}: positives and negatives overlap"

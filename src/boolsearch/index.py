@@ -22,8 +22,9 @@ product is summed with +0.0 in place of those zeros, in the per-row
 reduction order that defines a score. Rows of zero products score +0.0 or
 -0.0 and tie, so only the k of them with the smallest ids are scored: +0.0
 with no arithmetic if one of their products is +0.0, else by a sum of the
-whole row. Results are bit-identical to scoring and fully sorting every
-row.
+whole row. Ties are ordered by a rank of the ids in Python string order, one
+key sort per index. Results are bit-identical to scoring and fully sorting
+every row.
 
 Index file layout (little-endian): magic "BDIX", u32 version, u8 similarity
 (0=dot, 1=cosine), u32 dim, u64 row count, u32-length-prefixed embedder-spec
@@ -159,6 +160,15 @@ class Index:
             )
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise BoolSearchError("index doc ids must be distinct")
+        # ranks in Python string order (a numpy str_ array drops trailing
+        # NULs): the inverse of the permutation that sorts the ids, whose
+        # Python ints are freed before the postings are made
+        n = len(self.doc_ids)
+        order = sorted(range(n), key=self.doc_ids.__getitem__)
+        id_rank = np.empty(n, dtype=np.intp)
+        id_rank[order] = np.arange(n)
+        del order
+        object.__setattr__(self, "_id_rank", id_rank)
         matrix = self.matrix
         if (matrix.flags.writeable or not matrix.flags.owndata
                 or not matrix.flags.f_contiguous):
@@ -170,7 +180,6 @@ class Index:
             object.__setattr__(self, "matrix", matrix)
         # float64 squared row norms, a column at a time; a float32 square
         # cannot overflow float64, so a non-finite sum means a non-finite entry
-        n = len(self.doc_ids)
         sq_norms = np.zeros(n)
         # a column with at most n // 8 nonzero rows gets postings: their
         # ascending ids (int32 while they fit) and float32 values, so all
@@ -185,8 +194,7 @@ class Index:
                     postings.append((rows.astype(row_type), column[rows]))
                 else:
                     postings.append(None)
-                column = column.astype(np.float64)
-                sq_norms += column * column
+                sq_norms += np.square(column, dtype=np.float64)
         if not np.isfinite(sq_norms).all():
             raise BoolSearchError("index matrix holds non-finite values")
         dense = np.array([posting is None for posting in postings])
@@ -194,9 +202,6 @@ class Index:
         for posting in filter(None, postings):
             for array in posting:
                 array.flags.writeable = False
-        # ranks in Python string order: a numpy str_ array drops trailing NULs
-        ids = np.array(self.doc_ids, dtype=object)
-        object.__setattr__(self, "_id_rank", np.argsort(np.argsort(ids)))
         object.__setattr__(self, "_row_norm_bound", math.sqrt(float(sq_norms.max())))
         object.__setattr__(self, "_postings", tuple(postings))
         object.__setattr__(self, "_dense", dense)

@@ -427,6 +427,25 @@ class TestGenCommands:
         assert (code, out, err) == (2, "", f"error: {questions}:2: {message}\n")
         assert not dataset.exists()
 
+    def test_filter_empty_answer_token_group_is_typed(self, capsys, tmp_path, corpus_file):
+        corpus, _ = planted_corpus(n_clusters=3, per_cluster=4)
+        clusters = [generate.Cluster(0, corpus.ids[:4])]
+        spec = generate.GeneratorSpec(seed=1, n_per_type=2)
+        questions = tmp_path / "questions.jsonl"
+        generate.save_questions(generate.generate_questions(corpus, clusters, spec), questions)
+        lines = questions.read_text().splitlines()
+        record = {**json.loads(lines[1]), "answer_token_groups": [[]]}
+        lines[1] = json.dumps(record)
+        questions.write_text("\n".join(lines) + "\n")
+        filtered = tmp_path / "filtered.jsonl"
+        code, out, err = run_cli(
+            capsys, "gen", "filter", "--corpus", str(corpus_file),
+            "--questions", str(questions), "--out", str(filtered),
+        )
+        message = f"question {record['question_id']!r} has an empty answer token group"
+        assert (code, out, err) == (2, "", f"error: {questions}:2: {message}\n")
+        assert not filtered.exists()
+
     def test_cluster_above_row_cap_is_runtime_error(
         self, capsys, tmp_path, corpus_file, monkeypatch
     ):
@@ -868,6 +887,19 @@ class TestEdgeValues:
         assert code == 2 and out == ""
         assert err == f"error: seed must be >= 0, got {seed}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**80)])
+    def test_embed_seed_outside_the_hash_key_is_refused(self, capsys, tmp_path, inputs, seed):
+        # a seed is the 8-byte key of the token hash; -1 would otherwise
+        # build the vectors of seed 2**64 - 1 under another fingerprint
+        path = ("index", "build")
+        out_path = tmp_path / "out"
+        argv = [*path, *base_argv(path, "--embed-seed", inputs, str(out_path)),
+                "--embed-seed", seed]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: embedder seed must be in [0, 2**64), got {seed}\n"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_sample_cap_below_the_rank_is_refused(self, capsys, tmp_path, inputs, cap):

@@ -148,6 +148,68 @@ class TestLoadCorpus:
         assert list(load_corpus(path).ids) == ids
 
 
+class TestCorpusColumns:
+    """A corpus keeps ids and texts as two columns and builds a Passage
+    when one is asked for."""
+
+    def test_iteration_and_lookup_yield_equal_passages(self, tmp_path):
+        passages = [Passage("p1", "alpha"), Passage("p\x00", "\u0130 b"), Passage("7", "c")]
+        path = tmp_path / "corpus.jsonl"
+        write_lines(path, [json.dumps({"id": p.id, "text": p.text}) for p in passages])
+        for corpus in (Corpus(passages), load_corpus(path)):
+            assert list(corpus) == passages
+            assert [corpus[p.id] for p in passages] == passages
+            assert corpus.ids == tuple(p.id for p in passages)
+            assert corpus.texts == tuple(p.text for p in passages)
+            assert "p1" in corpus and "p" not in corpus
+            with pytest.raises(KeyError):
+                corpus["p"]
+
+    def test_columns_are_read_only_tuples(self):
+        corpus = Corpus([Passage("p1", "alpha"), Passage("p2", "beta")])
+        assert type(corpus.ids) is tuple and type(corpus.texts) is tuple
+        for name in ("ids", "texts"):
+            with pytest.raises(AttributeError):
+                setattr(corpus, name, ())
+
+    def test_duplicate_passages_refused(self):
+        with pytest.raises(CorpusFormatError, match="^duplicate passage id 'a'$"):
+            Corpus([Passage("a", "x"), Passage("b", "y"), Passage("a", "z"), Passage("b", "w")])
+
+    @pytest.mark.parametrize("lines, message", [
+        (['{"id": "", "text": "x"}'], "1: passage id must be non-empty"),
+        (["\tx"], "1: passage id must be non-empty"),
+        (['{"id": "a", "text": ""}'], "1: passage 'a' has empty text"),
+        (["a\t"], "1: passage 'a' has empty text"),
+        (['{"id": "a", "text": "x"}', "", '{"id": "b", "text": "y"}', "b\tz"],
+         "4: duplicate passage id 'b'"),
+        (['{"id": "a", "text": '], "1: invalid JSON: Expecting value: line 1 column 21 (char 20)"),
+        (['{"id": "a", "text": "x"} {}'],
+         "1: invalid JSON: Extra data: line 1 column 26 (char 25)"),
+        # U+00A0 is whitespace to str.lstrip but not to JSON
+        (['\u00a0{"id": "a", "text": "x"}'],
+         "1: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (['{"id": ' + "[" * 100_000],
+         "1: invalid JSON: maximum recursion depth exceeded while decoding a JSON "
+         "array from a unicode string"),
+        (['\ufeff{"id": "a", "text": "x"}'],
+         "1: expected JSON object or 2 tab-separated columns, got 1 column(s)"),
+    ], ids=["empty-id", "tsv-empty-id", "empty-text", "tsv-empty-text", "duplicate",
+            "bad-json", "extra-data", "nbsp-led", "nested-too-deep", "bom-led"])
+    def test_load_error_text(self, tmp_path, lines, message):
+        path = tmp_path / "corpus.jsonl"
+        write_lines(path, lines)
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"{path}:{message}"
+
+    def test_json_whitespace_around_a_record_is_read(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(' \t{"id": "a", "text": "x"} \r\n{"id": 7, "text": "y"}\t\n',
+                        encoding="utf-8")
+        assert load_corpus(path).ids == ("a", "7")
+
+
 class TestLoadJudgments:
     def test_valid_not_record(self, tmp_path):
         path = tmp_path / "j.jsonl"

@@ -10,6 +10,7 @@ from boolsearch.data import Corpus, Passage
 from boolsearch.embed import (
     EmbedderSpec,
     TOKEN_ENV_VAR,
+    embed_text,
     embed_texts,
     hashed_bow_embed,
     tokenize,
@@ -32,6 +33,13 @@ class TestEmbedderSpec:
         with pytest.raises(EmbeddingError):
             EmbedderSpec(kind="hashed-bow", endpoint="http://x")
         EmbedderSpec(kind="remote", endpoint="http://x")  # valid
+
+    @pytest.mark.parametrize("seed", [-1, -(2**63), 2**64, 2**80])
+    def test_seed_outside_the_hash_key_refused(self, seed):
+        # the seed is the token hash's 8-byte key: no two seeds share one
+        with pytest.raises(EmbeddingError, match=r"seed must be in \[0, 2\*\*64\)"):
+            EmbedderSpec(seed=seed)
+        EmbedderSpec(seed=2**64 - 1)  # valid
 
     def test_fingerprint_distinguishes_seeds(self):
         a = EmbedderSpec(seed=1).fingerprint()
@@ -126,8 +134,8 @@ TEXTS = st.one_of(
 )
 DIMS = st.sampled_from([8, 13, 256, 1000])
 SEEDS = st.one_of(
-    st.integers(-(2**70), 2**70),
-    st.sampled_from([0, 1, -1, -(2**63), 2**63, 2**64 - 1, 2**64, 2**64 + 7]),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1]),
 )
 
 
@@ -186,7 +194,7 @@ class TestHashedBowMatchesOracle:
     @given(
         st.lists(TEXTS, min_size=1, max_size=6),
         DIMS,
-        st.lists(SEEDS, min_size=2, max_size=4, unique_by=lambda s: s % 2**64),
+        st.lists(SEEDS, min_size=2, max_size=4, unique=True),
     )
     @example(["alpha beta", "beta gamma"], 256, [1, 2])
     def test_back_to_back_calls_with_other_seeds(self, texts, dim, seeds):
@@ -198,8 +206,8 @@ class TestHashedBowMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(TEXTS | WORD_SOUP, st.sampled_from([8, 13, 256]), SEEDS, st.booleans(),
            st.sampled_from(["dot", "cosine"]))
-    @example("Cat cat CAT", 8, -1, True, "cosine")
-    @example("w1 w2 w3 w1 w1", 8, 2**64 + 7, False, "dot")
+    @example("Cat cat CAT", 8, 2**64 - 1, True, "cosine")
+    @example("w1 w2 w3 w1 w1", 8, 2**63, False, "dot")
     def test_embed_query_matches_batch_path(self, text, dim, seed, normalize, similarity):
         # one text skips the batch path; its bytes must be the batch path's
         index = one_row_index(EmbedderSpec(dim=dim, normalize=normalize, seed=seed),
@@ -207,7 +215,7 @@ class TestHashedBowMatchesOracle:
         got = embed_query(index, text)
         assert_same_bytes([got], [oracle_embed_query(index, text)], dim)
 
-    @pytest.mark.parametrize("seed", [0, -5, 2**64 + 7])
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
     @pytest.mark.parametrize("dim", [8, 13, 256])
     def test_embed_query_where_signs_cancel(self, dim, seed):
         # two tokens of one bucket and opposite signs: "a b" leaves +0.0
@@ -237,7 +245,7 @@ class TestHashedBowMatchesOracle:
             Passage(f"p{i:05d}", " ".join(rng.choice(words, size=int(rng.integers(1, 30)))))
             for i in range(2500)
         )
-        for seed in (-3, 4, -3):
+        for seed in (3, 4, 3):
             spec = EmbedderSpec(dim=64, normalize=normalize, seed=seed)
             expected = np.vstack(oracle_embed_texts(spec, list(corpus.texts)))
             if similarity == "cosine":
@@ -274,6 +282,79 @@ class TestHashedBowMatchesOracle:
                     v = v / np.linalg.norm(v)
                 want = v / np.linalg.norm(v) if v.any() else v
                 assert embed_query(index, f"t{i}").tobytes() == want.tobytes()
+
+
+CHUNK_SIZES = (1, 2, 7, 1024)
+SEPARATORS = " \t.,!?\x00\u00e9"  # a text of these alone has no token
+# texts whose lowering changes their length (U+0130), lowers to ASCII (the
+# Kelvin sign), depends on its neighbours (a capital sigma ends a word as
+# U+03C2), has no UTF-8 form (a lone surrogate) or holds a NUL
+EDGE_TEXTS = ["\u0130stanbul \u0130\u0130x", "\u212aelvin k\u212a", "\u03a3a\u03a3 b\u03a3",
+              "a\ud800b \udfffc", "nul\x00byte\x00", "\u0130", "\u03a3", SEPARATORS, "",
+              "w1 w2"]
+CHUNK_TEXTS = st.lists(TEXTS | st.text(alphabet=SEPARATORS, max_size=6)
+                       | st.sampled_from(EDGE_TEXTS), max_size=20)
+
+
+def chunks(texts, size):
+    return [texts[start : start + size] for start in range(0, len(texts), size)]
+
+
+def chunk_tokens(texts: list[str]) -> list[list[str]]:
+    """_tokenize_chunk's tokens split back into one list per text."""
+    tokens, lengths = embed._tokenize_chunk(texts)
+    assert lengths.dtype == np.intp and len(lengths) == len(texts)
+    assert lengths.sum() == len(tokens) and (lengths >= 0).all()
+    ends = np.cumsum(lengths).tolist()
+    return [[t.decode("ascii") for t in tokens[end - n : end]]
+            for n, end in zip(lengths.tolist(), ends)]
+
+
+class TestChunkTokenizer:
+    """One tokenizing pass per chunk against tokenize and the regular
+    expression oracle, text by text."""
+
+    def assert_tokens_per_text(self, texts):
+        for size in CHUNK_SIZES:
+            for chunk in chunks(texts, size):
+                got = chunk_tokens(chunk)
+                assert got == [tokenize(text) for text in chunk]
+                assert got == [oracle_tokenize(text) for text in chunk]
+
+    @settings(max_examples=300, deadline=None)
+    @given(CHUNK_TEXTS)
+    def test_matches_tokenize(self, texts):
+        self.assert_tokens_per_text(texts)
+
+    @pytest.mark.parametrize("text", EDGE_TEXTS)
+    def test_edge_text_at_each_place_in_a_chunk(self, text):
+        # alone, first, last and between texts whose tokens touch its span
+        self.assert_tokens_per_text([text])
+        self.assert_tokens_per_text([text, "ab cd", text, "x", text])
+        self.assert_tokens_per_text(["\u0130a", text, "b\u212a"])
+        self.assert_tokens_per_text(["a\u03a3", text, "\u03a3b"])
+
+    def test_token_free_texts_at_the_ends_of_a_chunk(self):
+        texts = [SEPARATORS, "alpha beta", "", "gamma", " ", SEPARATORS * 3]
+        assert chunk_tokens(texts) == [[], ["alpha", "beta"], [], ["gamma"], [], []]
+        self.assert_tokens_per_text(texts)
+
+    def test_a_100k_character_token(self):
+        long = "ab" * 50_000
+        texts = ["x " + long, long, "\u0130" + long + "\u212a", "y"]
+        assert chunk_tokens(texts) == [["x", long], [long], ["i", long + "k"], ["y"]]
+        self.assert_tokens_per_text(texts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(CHUNK_TEXTS, DIMS, SEEDS, st.booleans())
+    def test_rows_of_chunks_texts_and_text_are_bit_identical(self, texts, dim, seed, normalize):
+        spec = EmbedderSpec(dim=dim, normalize=normalize, seed=seed)
+        batch = embed_texts(spec, texts)
+        assert_same_bytes([embed_text(spec, text) for text in texts], batch, dim)
+        for size in CHUNK_SIZES:
+            rows = list(embed.embed_chunks(spec, texts, size))
+            assert [len(part) for part in rows] == list(map(len, chunks(texts, size)))
+            assert_same_bytes([row for part in rows for row in part], batch, dim)
 
 
 def remote_rows():

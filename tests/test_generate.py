@@ -378,6 +378,21 @@ class TestCyclicFilter:
         )
         assert not cyclic_filter(q, self.corpus())
 
+    def test_empty_token_group_is_refused(self):
+        # every passage holds all tokens of an empty group, so the proxy
+        # would count the negative pb as answering: the group is refused
+        # where the question is made
+        q = GeneratedQuestion(
+            question_id="x", qtype=QuestionType.NOT, text="what?",
+            source_cluster=0, candidate_ids=("pa", "pb"),
+            positives=frozenset({"pa"}), negatives=frozenset({"pb"}),
+            answer_token_groups=(("zebra",),),
+        )
+        assert cyclic_filter(q, self.corpus())
+        for groups in (((),), (("zebra",), ())):
+            with pytest.raises(GenerationError, match="'x' has an empty answer token group"):
+                replace(q, answer_token_groups=groups)
+
     def test_apply_sets_flags(self):
         candidates = three_candidates()
         simples, disj = gen_atomic(candidates)

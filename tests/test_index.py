@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import re
 import struct
 import tracemalloc
 import warnings
@@ -286,6 +287,18 @@ class TestBuildIndex:
         given = Index(built.doc_ids, view, "dot", SPEC)
         base[0, 0] = 5.0  # a write through the base must not reach the index
         assert given == built
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(min_size=1) | st.text("a\x00\u00e9\U0001f600Z0", min_size=1,
+                                                  max_size=4),
+                    min_size=1, max_size=40, unique=True))
+    @example(["a\x00", "a", "a\x00\x00", "b", "\u00e9", "\U0001f600", "Z", "a\x000"])
+    def test_id_rank_is_the_rank_in_python_string_order(self, ids):
+        # against the two argsorts over an object array that it replaced
+        index = Index(tuple(ids), np.zeros((len(ids), SPEC.dim), np.float32), "dot", SPEC)
+        want = np.argsort(np.argsort(np.array(ids, dtype=object)))
+        assert index._id_rank.dtype == want.dtype
+        assert index._id_rank.tobytes() == want.tobytes()
 
     def test_row_per_passage(self):
         index = build_index(small_corpus(), EmbedderSpec(dim=256), "dot")
@@ -863,6 +876,15 @@ class TestPersistence:
         rewrite_spec_json(path, lambda spec: {**spec, "seed": 7})
         with pytest.raises(IndexFormatError,
                            match="index fingerprint '.*' does not match its embedder spec"):
+            load_index(path)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_spec_seed_outside_the_hash_key_rejected(self, tmp_path, seed):
+        path = tmp_path / "x.idx"
+        save_index(build_index(small_corpus(), SPEC, "dot"), path)
+        rewrite_spec_json(path, lambda spec: {**spec, "seed": seed})
+        with pytest.raises(IndexFormatError,
+                           match=re.escape(f"embedder seed must be in [0, 2**64), got {seed}")):
             load_index(path)
 
     def test_spec_dim_disagreeing_with_header_rejected(self, tmp_path):
