@@ -9,22 +9,22 @@ once the postings (ascending row ids and values of the nonzero entries) of
 every column with at most n // 8 nonzero rows, which take at most a quarter
 of the matrix's bytes. top_k runs in two stages. A float32 screen scores
 every row over only the columns where the query is nonzero, term at a
-time: the postings of its sparse columns are scattered with one float64
-bincount, and its dense columns are added one contiguous column at a time.
-A rigorous bound on the screen's rounding error (Higham, Accuracy and
-Stability of Numerical Algorithms, section 3.1) keeps every row that could
-still belong to the top k, measured from the k-th largest screen, which
-one sort of every screen gives. Survivors are scored again from the
-query's columns alone: the other products are zeros, which change a float64
-sum only in the sign of a zero result, and that result is -0.0 only if
-every product is -0.0 (IEEE 754-2019 section 6.3). So a row with a nonzero
-product is summed with +0.0 in place of those zeros, in the per-row
-reduction order that defines a score. Rows of zero products score +0.0 or
--0.0 and tie, so only the k of them with the smallest ids are scored: +0.0
-with no arithmetic if one of their products is +0.0, else by a sum of the
-whole row. Ties are ordered by a rank of the ids in Python string order, one
-key sort per index. Results are bit-identical to scoring and fully sorting
-every row.
+time, with the query rounded to float32 once: the float32 products of its
+sparse columns' postings are scattered with one np.add.at, and its dense
+columns are added one contiguous column at a time. A rigorous bound on the
+screen's rounding error (Higham, Accuracy and Stability of Numerical
+Algorithms, section 3.1) keeps every row that could still belong to the
+top k, measured from the k-th largest screen, which one sort of every
+screen gives. Survivors are scored again from the query's columns alone:
+the other products are zeros, which change a float64 sum only in the sign
+of a zero result, and that result is -0.0 only if every product is -0.0
+(IEEE 754-2019 section 6.3). So a row with a nonzero product is summed
+with +0.0 in place of those zeros, in the per-row reduction order that
+defines a score. Rows of zero products score +0.0 or -0.0 and tie, so only
+the k of them with the smallest ids are scored: +0.0 with no arithmetic if
+one of their products is +0.0, else by a sum of the whole row. Ties are
+ordered by a rank of the ids in Python string order, one key sort per
+index. Results are bit-identical to scoring and fully sorting every row.
 
 Index file layout (little-endian): magic "BDIX", u32 version, u8 similarity
 (0=dot, 1=cosine), u32 dim, u64 row count, u32-length-prefixed embedder-spec
@@ -79,8 +79,8 @@ class RankedList:
 
     __slots__ = ("ids", "scores")
 
-    def __init__(self, items: Iterable[tuple[str, float]]):
-        ids, scores = self.ids, self.scores = tuple(zip(*items)) or ((), ())
+    def __init__(self, items: Iterable[tuple[str, float]], _columns: tuple | None = None):
+        ids, scores = self.ids, self.scores = _columns or tuple(zip(*items)) or ((), ())
         # three C-level passes accept a valid list; the loop names a bad one's first fault
         if all(map(math.isfinite, scores)) and len(set(ids)) == len(ids):
             keys = list(zip(map(operator.neg, scores), ids))
@@ -108,12 +108,18 @@ class RankedList:
         ordered.sort(key=operator.itemgetter(1), reverse=True)
         return cls(ordered)
 
+    @classmethod
+    def _from_columns(cls, ids: tuple[str, ...], scores: tuple[float, ...]) -> "RankedList":
+        """The list of ids[i] scored scores[i], for two tuples of one length,
+        checked as pairs are: the columns are not zipped to be split again."""
+        return cls((), (ids, scores))
+
     @property
     def items(self) -> tuple[ScoredDoc, ...]:
         return tuple(self)
 
     def truncate(self, k: int) -> "RankedList":
-        return RankedList(zip(self.ids[:k], self.scores[:k]))
+        return RankedList._from_columns(self.ids[:k], self.scores[:k])
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -216,7 +222,6 @@ class Index:
             and self.doc_ids == other.doc_ids
             and self.similarity == other.similarity
             and self.spec == other.spec
-            and self.matrix.dtype == other.matrix.dtype
             and np.array_equal(self.matrix, other.matrix)
         )
 
@@ -329,36 +334,27 @@ def top_k(index: Index, query: str, k: int) -> RankedList:
     # lexsort: last key is primary, so descending score then ascending id
     order = np.lexsort((index._id_rank[cand], -scores))[:k]
     # Python floats, not numpy scalars: a score's repr is part of the output
-    ids = [index.doc_ids[i] for i in cand[order].tolist()]
-    return RankedList(zip(ids, scores[order].tolist()))
+    ids = tuple(map(index.doc_ids.__getitem__, cand[order].tolist()))
+    return RankedList._from_columns(ids, tuple(scores[order].tolist()))
 
 
 def _screen(index: Index, nz: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """float32 scores of every row over the query's nonzero columns nz,
-    whose query entries are terms; a zero query entry adds an exact zero.
-
-    The postings of the sparse columns are scattered with one bincount:
-    float64 products summed in float64, then rounded to float32 once. The
-    dense columns are then added in float32, one contiguous column at a
-    time. Every row stays within _screen_error's eps of its float64 score.
-    A sparse product and its float64 sum over at most d terms cost
-    u64 + gamma_d(64) < u32, no more than rounding its query entry to
-    float32 would; the one float32 rounding and at most d - 1 column adds
-    after it cost what a float32 product and those adds would. Either way a
-    product's error is within u32 + gamma_d(32)(1+u32), and with finite eps
-    (Cauchy-Schwarz) no partial sum reaches 2^121, so none overflows.
-    """
+    """float32 scores of every row over the query's nonzero columns nz, with
+    their query entries terms rounded to float32 once: the products of the
+    sparse columns' postings scattered by one unbuffered np.add.at, so a row
+    posted in several columns gets each, then the dense columns added one at
+    a time. A row's screen is thus a float32 dot product of at most d terms
+    in some order, within _screen_error's eps of its float64 score; with
+    finite eps no partial sum reaches 2^121 (Cauchy-Schwarz), so none overflows."""
+    screen = np.zeros(len(index.matrix), dtype=np.float32)
+    terms = terms.astype(np.float32)
     dense = index._dense[nz]
-    if dense.all():
-        screen = np.zeros(len(index.matrix), dtype=np.float32)
-    else:
-        sparse = ~dense
-        posted = [index._postings[j] for j in nz[sparse].tolist()]
-        rows = np.concatenate([rows for rows, _ in posted])
-        values = np.concatenate([values for _, values in posted])
-        weights = values * np.repeat(terms[sparse], [len(rows) for rows, _ in posted])
-        screen = np.bincount(rows, weights, minlength=len(index.matrix)).astype(np.float32)
-    for j, term in zip(nz[dense].tolist(), terms[dense].astype(np.float32)):
+    if not dense.all():
+        posted = [index._postings[j] for j in nz[~dense].tolist()]
+        rows, values = map(np.concatenate, zip(*posted))  # values: a new array
+        values *= np.repeat(terms[~dense], [len(r) for r, _ in posted])
+        np.add.at(screen, rows, values)
+    for j, term in zip(nz[dense].tolist(), terms[dense]):
         screen += index.matrix[:, j] * term
     return screen
 

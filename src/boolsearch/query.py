@@ -22,6 +22,7 @@ recursion limit.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -322,6 +323,9 @@ def _min_max_normalize(ranked: RankedList) -> RankedList:
     # min and max, not the last and first items: in [5.0, 0.0, -0.0] the
     # last is -0.0 but min is 0.0, and subtracting -0.0 flips a zero's sign
     low, high = min(ranked.scores), max(ranked.scores)
+    if math.isinf(high - low):  # as 1e308 - -1e308: halved, the range is finite
+        halved = [score / 2 for score in ranked.scores]
+        return _min_max_normalize(RankedList.from_scores(zip(ranked.ids, halved)))
     # scaling can round adjacent scores onto one value; re-sort so the
     # collapsed ties take the ascending-id order
     return RankedList.from_scores(

@@ -111,6 +111,25 @@ def oracle_top_k(index: Index, query_text: str, k: int):
     return scored[:k]
 
 
+def oracle_screen(index: Index, nz: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The screen before its float32 scatter: the postings' products formed
+    and summed in float64 by one bincount, rounded to float32 once, then
+    the dense columns added in float32 a column at a time."""
+    dense = index._dense[nz]
+    if dense.all():
+        screen = np.zeros(len(index.matrix), dtype=np.float32)
+    else:
+        sparse = ~dense
+        posted = [index._postings[j] for j in nz[sparse].tolist()]
+        rows = np.concatenate([rows for rows, _ in posted])
+        values = np.concatenate([values for _, values in posted])
+        weights = values * np.repeat(terms[sparse], [len(rows) for rows, _ in posted])
+        screen = np.bincount(rows, weights, minlength=len(index.matrix)).astype(np.float32)
+    for j, term in zip(nz[dense].tolist(), terms[dense].astype(np.float32)):
+        screen += index.matrix[:, j] * term
+    return screen
+
+
 def save_index_v1(index: Index, path) -> None:
     """Write an index file of format version 1: the version 2 layout with
     the matrix row-major and no CRC32 after it."""
@@ -392,8 +411,12 @@ def oracle_min_max_normalize(ranked: OracleRankedList) -> OracleRankedList:
     low, high = min(values), max(values)
     if low == high:
         return OracleRankedList(OracleScoredDoc(item.doc_id, 1.0) for item in ranked)
+    # a range beyond float64 is scaled by 1/2, exact at its magnitudes, and
+    # any other by 1, which changes no bit
+    scale = 0.5 if math.isinf(high - low) else 1.0
     return OracleRankedList.from_scores(
-        (item.doc_id, (item.score - low) / (high - low)) for item in ranked
+        (item.doc_id, (item.score * scale - low * scale) / (high * scale - low * scale))
+        for item in ranked
     )
 
 

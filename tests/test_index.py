@@ -32,6 +32,7 @@ from boolsearch.index import (
 from _planted import (
     OracleRankedList,
     OracleScoredDoc,
+    oracle_screen,
     oracle_top_k,
     random_corpus,
     random_query,
@@ -96,15 +97,35 @@ def load_peak(tmp_path, save):
 
 
 def assert_screen_within_bound(index, query):
-    """Every row's float32 screen lies within _screen_error of its float64
-    score, the per-row sum the oracle takes."""
+    """Every row's float32 screen, and the float64 bincount screen it
+    replaced, lie within _screen_error of its float64 score, the per-row
+    sum the oracle takes. Returns the scores and the screen."""
     vec = embed_query(index, query)
     nz = np.flatnonzero(vec)
     eps = _screen_error(index.dim, index._row_norm_bound, float(np.linalg.norm(vec)))
     scores = (np.ascontiguousarray(index.matrix, dtype=np.float64) * vec).sum(axis=1)
-    screen = _screen(index, nz, vec[nz]).astype(np.float64)
     assert 0.0 < eps < np.inf
-    assert (np.abs(screen - scores) <= eps).all()
+    screen = _screen(index, nz, vec[nz])
+    assert screen.tobytes() == column_screen(index, nz, vec[nz]).tobytes()
+    for screened in screen, oracle_screen(index, nz, vec[nz]):
+        assert screened.dtype == np.float32
+        assert (np.abs(screened.astype(np.float64) - scores) <= eps).all()
+    return scores, screen
+
+
+def column_screen(index, nz, terms):
+    """The float32 screen a column at a time: the posted columns in nz order
+    (a posting's rows are distinct, so a buffered add is exact), then the
+    dense ones. Each row gets _screen's float32 products in _screen's order."""
+    screen = np.zeros(len(index.matrix), dtype=np.float32)
+    for j, term in sorted(zip(nz.tolist(), terms.astype(np.float32)),
+                          key=lambda pair: index._dense[pair[0]]):
+        if index._dense[j]:
+            screen += index.matrix[:, j] * term
+        else:
+            rows, values = index._postings[j]
+            screen[rows] += values * term
+    return screen
 
 
 def zero_band_split(index, query, k):
@@ -227,6 +248,9 @@ class TestRankedList:
             lambda: OracleRankedList(OracleScoredDoc(*p) for p in pairs)
         )
         assert got == want
+        # the two columns, unpaired, go through the same check
+        columns = tuple(zip(*pairs)) or ((), ())
+        assert ranked_outcome(lambda: RankedList._from_columns(*columns)) == want
 
     def test_scored_doc_checks_nothing_itself(self):
         assert ScoredDoc("a", float("inf")) == ("a", float("inf"))
@@ -252,6 +276,15 @@ class TestRankedList:
         ranked = RankedList.from_scores([("b", 1.0), ("c", 2.0), ("a", 1.0)])
         assert ranked.truncate(2) == RankedList([("c", 2.0), ("a", 1.0)])
         assert ranked.truncate(5) == ranked and len(ranked.truncate(1)) == 1
+        assert type(ranked.truncate(2).ids) is tuple and type(ranked.truncate(0).scores) is tuple
+
+    def test_columns_are_kept_as_given(self):
+        ids, scores = ("c", "a", "b"), (2.0, 1.0, -0.0)
+        ranked = RankedList._from_columns(ids, scores)
+        assert ranked.ids is ids and ranked.scores is scores
+        assert ranked == RankedList(zip(ids, scores))
+        with pytest.raises(BoolSearchError, match="ties"):
+            RankedList._from_columns(("b", "a"), (1.0, 1.0))
 
 
 class TestBuildIndex:
@@ -579,6 +612,54 @@ class TestTopK:
             for k in (1, 10, 100, 300, n, n + 5):
                 assert_matches_oracle(index, name, k)
             assert_screen_within_bound(index, name)
+
+    @pytest.mark.parametrize("similarity", SIMILARITIES)
+    @pytest.mark.parametrize("case", ["shared-rows", "underflow", "posted-and-dense"])
+    def test_float32_scatter_matches_oracle(self, scripted, similarity, case):
+        # the postings' float32 products reach the screen through one
+        # np.add.at: rows posted in every column of the query, which a
+        # buffered screen[rows] += would count once; products of subnormal
+        # entries that underflow float32 but not float64; and posted columns
+        # beside dense ones. Also with first-term sums
+        rng = np.random.default_rng(79)
+        n, dim = 800, 24
+        posted, dense = list(range(12)), list(range(12, 18))
+        matrix = np.zeros((n, dim))
+        for j in posted:
+            rows = rng.permutation(np.arange(20, n))[: int(rng.integers(30, n // 8 - 20))]
+            matrix[rows, j] = rng.choice([-1.0, 0.5, 1.0, 2.0], len(rows))
+        matrix[:20, posted] = rng.choice([-1.0, 0.5, 2.0], (20, len(posted)))
+        matrix[:, dense] = rng.choice([-1.0, 0.0, 0.5, 1.0], (n, len(dense)))
+        if case == "underflow":
+            # outside the shared rows, columns 1-10 post only 2^-149 and
+            # 2^-148, whose products with query entries below 1/4 round to zeros
+            tiny = matrix[20:, 1:11]
+            tiny[tiny != 0] = rng.choice([-(2.0**-148), 2.0**-149, 2.0**-148],
+                                         np.count_nonzero(tiny))
+        index = scripted.index(matrix, similarity)
+        assert index._dense.tolist() == [j in dense for j in range(dim)]
+        assert (np.count_nonzero(index.matrix[:20][:, posted], axis=1) == len(posted)).all()
+        columns = {"shared-rows": posted, "underflow": posted,
+                   "posted-and-dense": [0, 2, 5, 7, 9] + dense[:4]}[case]
+        vec = np.zeros(dim)
+        vec[columns] = rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], len(columns))
+        if case == "underflow":
+            vec[1:11] = rng.choice([-0.1, 0.05, 0.1], 10)
+            vec[[0, 11]] = [1.0, -1.0]
+        scripted.vectors["q"] = vec.tolist()
+        scores, screen = assert_screen_within_bound(index, "q")
+        if similarity == "dot" and case != "underflow":
+            # small dyadic products and sums: every screen is exact
+            assert screen.astype(np.float64).tolist() == scores.tolist()
+        if case == "underflow":
+            terms = embed_query(index, "q")[1:11]
+            tiny = index.matrix[20:, 1:11]
+            assert np.abs(terms).max() < 0.25
+            assert not (tiny * terms.astype(np.float32)).any()
+            assert (tiny.astype(np.float64) * terms).any(axis=1).sum() > 100
+        for scored in index, with_first_term_sums(index):
+            for k in (1, 10, 20, 100, 400, n):
+                assert_matches_oracle(scored, "q", k)
 
     @pytest.mark.parametrize("similarity", SIMILARITIES)
     def test_signed_zeros_match_oracle(self, scripted, similarity):
